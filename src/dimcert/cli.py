@@ -17,7 +17,8 @@ noise-tolerance
 Every output embeds the fully resolved configuration, including a seed
 drawn on the spot when --seed is omitted, so any run can be replayed
 bit for bit. Exit codes: 0 success, 1 invalid input or I/O failure,
-2 internal numerical consistency failure; nothing else.
+2 internal numerical failure (a consistency check or a linear-algebra
+routine that did not converge); nothing else.
 """
 
 from __future__ import annotations
@@ -368,6 +369,9 @@ def main(argv=None):
         return 1
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

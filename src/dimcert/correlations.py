@@ -6,23 +6,22 @@ then the su(d) generators): ``X[k, l] = tr(rho * g_k (x) g_l)``. Dropping
 row 0 and column 0 leaves the su submatrix whose singular values eps drive
 the moment machinery; the singular values xi of the full matrix are the
 operator Schmidt values of the state, with ``sum xi^2 = tr(rho^2)``.
+
+X is computed by two matrix products, ``X = M_a R(rho) M_b^T``, where the
+realigned matrix ``R(rho)[(i i'), (j j')] = rho[(i j), (i' j')]`` has shape
+(d_a^2, d_b^2) and the row k of the basis matrix ``M_d`` is the flattened
+transpose of the basis element g_k (cached per local dimension).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalConsistencyError
-from .states import (
-    DERIVED_TOL,
-    DensityMatrix,
-    PureState,
-    extended_basis,
-    partial_trace,
-    purity,
-)
+from .errors import NumericalConsistencyError
+from .states import DERIVED_TOL, as_density, extended_basis, purity
 
 IMAG_TOL = 1e-9
 
@@ -81,13 +80,12 @@ class CovarianceBlock:
     purity_b: float
 
 
-def _coerce_density(rho):
-    if isinstance(rho, PureState):
-        return rho.to_density()
-    if isinstance(rho, DensityMatrix):
-        return rho
-    raise InvalidInputError(
-        f"expected DensityMatrix or PureState, got {type(rho).__name__}")
+@lru_cache(maxsize=None)
+def _basis_matrix(d):
+    """Row k holds g_k^T flattened, so ``M R M^T`` contracts both factors."""
+    mat = extended_basis(d).transpose(0, 2, 1).reshape(d * d, d * d)
+    mat.setflags(write=False)
+    return mat
 
 
 def correlation_data(rho):
@@ -99,13 +97,11 @@ def correlation_data(rho):
         If any coefficient has an imaginary part above 1e-9 (Hermitian
         states in Hermitian bases give real coefficients exactly).
     """
-    rho = _coerce_density(rho)
+    rho = as_density(rho)
     da, db = rho.dim_a, rho.dim_b
-    ga = extended_basis(da)
-    gb = extended_basis(db)
-    t = rho.matrix.reshape(da, db, da, db)
-    # X[k, l] = sum_{iji'j'} rho[(ij),(i'j')] ga[k, i', i] gb[l, j', j]
-    full_c = np.einsum("ijkl,aki,blj->ab", t, ga, gb, optimize=True)
+    realigned = rho.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
+    full_c = (_basis_matrix(da) @ realigned.reshape(da * da, db * db)
+              @ _basis_matrix(db).T)
     imag_max = float(np.max(np.abs(full_c.imag)))
     if imag_max > IMAG_TOL:
         raise NumericalConsistencyError(
@@ -129,6 +125,11 @@ def correlation_data(rho):
     )
 
 
+def as_correlation_data(obj):
+    """A state's CorrelationData, or ``obj`` itself when it already is one."""
+    return obj if isinstance(obj, CorrelationData) else correlation_data(obj)
+
+
 def trace_norm(matrix):
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(matrix), compute_uv=False)))
@@ -144,11 +145,15 @@ def operator_schmidt_values(rho):
     return correlation_data(rho).xi
 
 
-def covariance_block(rho):
-    """Mean-subtracted su block with the marginal purities."""
-    rho = _coerce_density(rho)
-    data = correlation_data(rho)
+def covariance_block(rho_or_corr):
+    """Mean-subtracted su block with the marginal purities.
+
+    Accepts a state or its already computed CorrelationData; the marginal
+    purities follow from the local Bloch vectors, ``tr rho_a^2 = 1/d_a +
+    |v_a|^2``.
+    """
+    data = as_correlation_data(rho_or_corr)
     cross = data.su - np.outer(data.vector_a, data.vector_b)
-    pa = purity(partial_trace(rho, "a"))
-    pb = purity(partial_trace(rho, "b"))
+    pa = 1 / data.dim_a + float(data.vector_a @ data.vector_a)
+    pb = 1 / data.dim_b + float(data.vector_b @ data.vector_b)
     return CovarianceBlock(cross=cross, purity_a=pa, purity_b=pb)

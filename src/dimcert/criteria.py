@@ -27,16 +27,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .correlations import (
-    CorrelationData,
     CovarianceBlock,
+    as_correlation_data,
     correlation_data,
     covariance_block,
     trace_norm,
 )
 from .states import (
     STRUCT_TOL,
-    DensityMatrix,
     PureState,
+    as_density,
     partial_trace,
     schmidt_coefficients,
 )
@@ -133,22 +133,6 @@ def _jsonable(obj):
     return obj
 
 
-def _coerce(rho):
-    if isinstance(rho, PureState):
-        return rho.to_density()
-    if isinstance(rho, DensityMatrix):
-        return rho
-    raise InvalidInputError(
-        f"expected DensityMatrix or PureState, got {type(rho).__name__}")
-
-
-def _corr_of(obj):
-    """Criteria accept a state or an already computed CorrelationData."""
-    if isinstance(obj, CorrelationData):
-        return obj
-    return correlation_data(_coerce(obj))
-
-
 def _restrict(rows, r_test, dmin):
     if r_test is None:
         return rows
@@ -182,7 +166,7 @@ def _bound_from_tests(criterion_id, rows, dmin, extra=None):
 
 def sn_trace_norm(state_or_corr):
     """Trace-norm criterion on the su correlation block."""
-    corr = _corr_of(state_or_corr)
+    corr = as_correlation_data(state_or_corr)
     dmin = min(corr.dim_a, corr.dim_b)
     tn = float(np.sum(corr.epsilon))
     rhs = math.sqrt((1 - 1 / corr.dim_a) * (1 - 1 / corr.dim_b))
@@ -213,7 +197,7 @@ def sn_ccnr(state_or_xi):
                 f"cannot infer dimensions from {xi.size} operator Schmidt "
                 "values (expected a perfect square)")
     else:
-        corr = _corr_of(state_or_xi)
+        corr = as_correlation_data(state_or_xi)
         xi = corr.xi
         dmin = min(corr.dim_a, corr.dim_b)
     s = float(np.sum(xi))
@@ -236,7 +220,7 @@ def sn_two_norm(state_or_corr, r_test=None):
     With ``r_test`` the certificate reports on that single r; otherwise
     the largest violated r sets the bound.
     """
-    corr = _corr_of(state_or_corr)
+    corr = as_correlation_data(state_or_corr)
     if corr.dim_a != corr.dim_b:
         raise InvalidInputError(
             "the two-norm criterion is only defined for equal local "
@@ -256,7 +240,7 @@ def sn_fidelity(rho, target, r_test=None, label=None):
     most the sum of the target's r largest Schmidt coefficients; exceeding
     it certifies bound r + 1.
     """
-    rho = _coerce(rho)
+    rho = as_density(rho)
     if not isinstance(target, PureState):
         raise InvalidInputError("fidelity target must be a PureState")
     if (target.dim_a, target.dim_b) != (rho.dim_a, rho.dim_b):
@@ -276,6 +260,30 @@ def sn_fidelity(rho, target, r_test=None, label=None):
     return _bound_from_tests("fidelity", rows, dmin, extra=extra)
 
 
+def _reduction_rows(rho, rs):
+    """Smallest eigenvalue of rho_a (x) 1 - rho/r for each r in rs.
+
+    One partial trace and one Kronecker product serve every r; the
+    operators are diagonalised in one stacked call.
+    """
+    base = np.kron(partial_trace(rho, "a"), np.eye(rho.dim_b))
+    ops = base - rho.matrix / np.asarray(rs)[:, None, None]
+    eig_min = np.linalg.eigvalsh(ops)[:, 0]
+    return [{"r": int(r), "min_eigenvalue": float(e),
+             "violated": bool(e < -STRUCT_TOL)}
+            for r, e in zip(rs, eig_min)]
+
+
+def _reduction_certificate(rows, dmin, details):
+    """The largest violated r (rows run in increasing r) sets bound and margin."""
+    violated = [row for row in rows if row["violated"]]
+    if not violated:
+        return SchmidtCertificate("reduction_map", 1, 0.0, details)
+    top = violated[-1]
+    return SchmidtCertificate("reduction_map", min(top["r"] + 1, dmin),
+                              -top["min_eigenvalue"], details)
+
+
 def sn_reduction_map(rho, r):
     """Positivity of rho_a (x) 1 - rho/r, violated only above Schmidt number r.
 
@@ -285,36 +293,19 @@ def sn_reduction_map(rho, r):
         ``violated`` is True when the smallest eigenvalue drops below
         -1e-10, certifying bound r + 1.
     """
-    rho = _coerce(rho)
+    rho = as_density(rho)
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise InvalidInputError(f"r must be a positive integer, got {r!r}")
+    row, = _reduction_rows(rho, [r])
     dmin = min(rho.dim_a, rho.dim_b)
-    ra = partial_trace(rho, "a")
-    op = np.kron(ra, np.eye(rho.dim_b)) - rho.matrix / r
-    eig_min = float(np.linalg.eigvalsh(op)[0])
-    violated = eig_min < -STRUCT_TOL
-    bound = min(r + 1, dmin) if violated else 1
-    margin = -eig_min if violated else 0.0
-    details = {"r": int(r), "min_eigenvalue": eig_min, "violated": bool(violated)}
-    return violated, SchmidtCertificate("reduction_map", bound, margin, details)
+    return row["violated"], _reduction_certificate([row], dmin, row)
 
 
 def _reduction_scan(rho):
     """Reduction-map certificate over all r, for compare_all."""
-    rho = _coerce(rho)
     dmin = min(rho.dim_a, rho.dim_b)
-    per_r = []
-    best_r = 0
-    best_eig = 0.0
-    for r in range(1, dmin + 1):
-        violated, cert = sn_reduction_map(rho, r)
-        per_r.append(cert.details)
-        if violated:
-            best_r = max(best_r, r)
-            best_eig = cert.details["min_eigenvalue"]
-    bound = min(best_r + 1, dmin) if best_r else 1
-    margin = -best_eig if best_r else 0.0
-    return SchmidtCertificate("reduction_map", bound, margin, {"per_r": per_r})
+    rows = _reduction_rows(rho, range(1, dmin + 1))
+    return _reduction_certificate(rows, dmin, {"per_r": rows})
 
 
 def sn_covariance(state_or_block):
@@ -322,7 +313,7 @@ def sn_covariance(state_or_block):
     if isinstance(state_or_block, CovarianceBlock):
         block = state_or_block
     else:
-        block = covariance_block(_coerce(state_or_block))
+        block = covariance_block(state_or_block)
     # the cross block is (d_a^2 - 1) x (d_b^2 - 1)
     da = math.isqrt(block.cross.shape[0] + 1)
     db = math.isqrt(block.cross.shape[1] + 1)
@@ -356,18 +347,21 @@ def _fidelity_targets(rho):
 def compare_all(rho):
     """Run every applicable criterion and collect the certificates.
 
-    The fidelity entry is the best certificate over the embedded
+    The correlation data is computed once and shared by the correlation
+    criteria. The fidelity entry is the best certificate over the embedded
     maximally entangled targets and the dominant eigenvector of the state.
     """
-    rho = _coerce(rho)
-    certs = [sn_trace_norm(rho), sn_ccnr(rho)]
+    rho = as_density(rho)
+    corr = correlation_data(rho)
+    certs = [sn_trace_norm(corr), sn_ccnr(corr)]
     if rho.dim_a == rho.dim_b:
-        certs.append(sn_two_norm(rho))
-    fid_certs = [sn_fidelity(rho, t, label=lbl) for t, lbl in _fidelity_targets(rho)]
+        certs.append(sn_two_norm(corr))
+    targets = _fidelity_targets(rho)
+    fid_certs = [sn_fidelity(rho, t, label=lbl) for t, lbl in targets]
     best_fid = max(fid_certs, key=lambda c: (c.certified_lower_bound, c.margin))
-    best_fid.details["targets_tested"] = [lbl for _, lbl in _fidelity_targets(rho)]
+    best_fid.details["targets_tested"] = [lbl for _, lbl in targets]
     certs.append(best_fid)
     certs.append(_reduction_scan(rho))
-    certs.append(sn_covariance(rho))
+    certs.append(sn_covariance(covariance_block(corr)))
     best = max(c.certified_lower_bound for c in certs)
     return CertificateReport(rho.dim_a, rho.dim_b, certs, best)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalConsistencyError
 from .correlations import correlation_data
-from .states import DensityMatrix, PureState
+from .states import as_density
 
 CONE_TOL = 1e-9
 
@@ -66,19 +66,6 @@ class MomentPair:
         return (self.s2, self.s4)
 
 
-def _even_dim(rho):
-    if isinstance(rho, PureState):
-        rho = rho.to_density()
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidInputError(
-            f"expected DensityMatrix or PureState, got {type(rho).__name__}")
-    if rho.dim_a != rho.dim_b:
-        raise InvalidInputError(
-            "moments are defined for equal local dimensions, got "
-            f"{rho.dim_a} x {rho.dim_b}")
-    return rho, rho.dim_a
-
-
 def moments_from_spectrum(epsilon, d):
     """Map an su-block singular spectrum to the (S2, S4) pair."""
     eps = np.asarray(epsilon, dtype=float)
@@ -90,8 +77,8 @@ def moments_from_spectrum(epsilon, d):
 
 def exact_moments(rho):
     """Exact (S2, S4) of a state from its correlation spectrum."""
-    rho, d = _even_dim(rho)
-    return moments_from_spectrum(correlation_data(rho).epsilon, d)
+    rho = as_density(rho, equal_dims_for="exact moment evaluation")
+    return moments_from_spectrum(correlation_data(rho).epsilon, rho.dim_a)
 
 
 def moments_from_r(r2, r4, d):

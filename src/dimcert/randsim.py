@@ -31,11 +31,12 @@ from .errors import InvalidInputError
 from .boundary import classify_point
 from .correlations import correlation_data
 from .moments import exact_moments, observable_m, scaling_constants
-from .states import DensityMatrix, PureState, isotropic
+from .states import as_density, isotropic
 
 BLOCK = 4096
 MIN_SAMPLES = 100
 
+_SAMPLING = "randomized moment estimation"
 _NS_MAIN = 0
 _NS_EIGHTH = 1
 _MAX_SEED = 2 ** 64
@@ -99,19 +100,6 @@ def haar_unitary(d, rng):
     return _phase_fix(q, r)
 
 
-def _coerce_equal(rho):
-    if isinstance(rho, PureState):
-        rho = rho.to_density()
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidInputError(
-            f"expected DensityMatrix or PureState, got {type(rho).__name__}")
-    if rho.dim_a != rho.dim_b:
-        raise InvalidInputError(
-            "randomized moment estimation needs equal local dimensions, "
-            f"got {rho.dim_a} x {rho.dim_b}")
-    return rho, rho.dim_a
-
-
 def _haar_block_x(rho4, m_eigs, d, m, rng):
     raw = rng.standard_normal((2, m, d, d, 2))
     z = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2)
@@ -132,7 +120,7 @@ def _bloch_block_x(x_su, n_dim, m, rng):
 
 
 def _sample_x(rho, n_tot, seed, path, workers, namespace):
-    rho, d = _coerce_equal(rho)
+    d = rho.dim_a
     if path == "haar":
         m_eigs = observable_m(d).eigenvalues
         rho4 = np.ascontiguousarray(
@@ -212,7 +200,8 @@ def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
             f"n_tot must be an integer >= {MIN_SAMPLES}, got {n_tot!r}")
     n_tot = int(n_tot)
     seed = _check_seed(seed)
-    rho, d = _coerce_equal(rho)
+    rho = as_density(rho, equal_dims_for=_SAMPLING)
+    d = rho.dim_a
     x = _sample_x(rho, n_tot, seed, path, workers, _NS_MAIN)
     c2, c4 = scaling_constants(d, path)
     x2 = x * x
@@ -258,7 +247,8 @@ def predicted_variance(rho, n_tot, seed=0, path="haar",
         raise InvalidInputError(
             f"m8_samples must be an integer >= 10000, got {m8_samples!r}")
     seed = _check_seed(seed)
-    rho, d = _coerce_equal(rho)
+    rho = as_density(rho, equal_dims_for=_SAMPLING)
+    d = rho.dim_a
     c2, c4 = scaling_constants(d, path)
     pair = exact_moments(rho)
     m2 = pair.s2 / c2
@@ -302,11 +292,11 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     if not np.isfinite(k_sigma) or k_sigma < 0:
         raise InvalidInputError(
             f"k_sigma must be a nonnegative number, got {k_sigma!r}")
+    rho = as_density(rho, equal_dims_for=_SAMPLING)
     est = estimate_moments(rho, n_tot, seed, path=path,
                            keep_samples=keep_samples, workers=workers)
-    _, d = _coerce_equal(rho)
     cert = classify_point(
-        est.s2, est.s4, d,
+        est.s2, est.s4, rho.dim_a,
         std_s2=est.std_s2, std_s4=est.std_s4, cov_s2s4=est.cov_s2s4,
         k_sigma=float(k_sigma))
     return DetectionResult(certificate=cert, estimate=est,

@@ -153,9 +153,10 @@ def extended_basis(d):
 class DensityMatrix:
     """Validated bipartite density matrix on C^{d_a} (x) C^{d_b}.
 
-    Validation order is fixed (hermiticity, then unit trace, then positive
-    semidefiniteness floored at -1e-10) and the first violated property is
-    the one reported. Invalid input is rejected, never repaired.
+    Validation order is fixed (shape, finite entries, hermiticity, unit
+    trace, then positive semidefiniteness floored at -1e-10) and the first
+    violated property is the one reported. Invalid input is rejected, never
+    repaired.
     """
 
     dim_a: int
@@ -171,6 +172,8 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"density matrix shape {mat.shape} does not match "
                 f"dim_a*dim_b = {n}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInputError("matrix has non-finite entries")
         herm_dev = np.max(np.abs(mat - mat.conj().T))
         if herm_dev > STRUCT_TOL:
             raise InvalidInputError(
@@ -210,6 +213,8 @@ class PureState:
             raise InvalidInputError(
                 f"amplitude vector length {vec.shape[0]} does not match "
                 f"dim_a*dim_b = {n}")
+        if not np.all(np.isfinite(vec)):
+            raise InvalidInputError("amplitude vector has non-finite entries")
         norm_dev = abs(np.linalg.norm(vec) - 1.0)
         if norm_dev > STRUCT_TOL:
             raise InvalidInputError(
@@ -226,13 +231,22 @@ class PureState:
         return DensityMatrix(self.dim_a, self.dim_b, mat)
 
 
-def _as_matrix(rho):
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix, rho.dim_a, rho.dim_b
+def as_density(rho, equal_dims_for=None):
+    """A DensityMatrix from a DensityMatrix or a PureState.
+
+    With ``equal_dims_for`` (a short name of what needs it) the two local
+    dimensions must also agree.
+    """
     if isinstance(rho, PureState):
-        dm = rho.to_density()
-        return dm.matrix, dm.dim_a, dm.dim_b
-    raise InvalidInputError(f"expected DensityMatrix or PureState, got {type(rho).__name__}")
+        rho = rho.to_density()
+    elif not isinstance(rho, DensityMatrix):
+        raise InvalidInputError(
+            f"expected DensityMatrix or PureState, got {type(rho).__name__}")
+    if equal_dims_for is not None and rho.dim_a != rho.dim_b:
+        raise InvalidInputError(
+            f"{equal_dims_for} needs equal local dimensions, "
+            f"got {rho.dim_a} x {rho.dim_b}")
+    return rho
 
 
 def partial_trace(rho, keep):
@@ -248,8 +262,9 @@ def partial_trace(rho, keep):
     -------
     ndarray, shape (d_keep, d_keep)
     """
-    mat, da, db = _as_matrix(rho)
-    t = mat.reshape(da, db, da, db)
+    rho = as_density(rho)
+    da, db = rho.dim_a, rho.dim_b
+    t = rho.matrix.reshape(da, db, da, db)
     if keep == "a":
         return np.einsum("ijkj->ik", t)
     if keep == "b":
@@ -452,8 +467,8 @@ def read_state_json(path):
     """Load a density matrix from a JSON state file.
 
     The format is ``{"dim_a": int, "dim_b": int, "re": [[...]], "im": [[...]]}``.
-    Validation reports the first violated property (shape, hermiticity,
-    trace, positivity, in that order).
+    Validation reports the first violated property (shape, finite entries,
+    hermiticity, trace, positivity, in that order).
     """
     with open(path) as fh:
         try:
@@ -472,12 +487,12 @@ def read_state_json(path):
 
 def write_state_json(rho, path):
     """Write a DensityMatrix to the JSON state format."""
-    mat, da, db = _as_matrix(rho)
+    rho = as_density(rho)
     data = {
-        "dim_a": da,
-        "dim_b": db,
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
+        "dim_a": rho.dim_a,
+        "dim_b": rho.dim_b,
+        "re": rho.matrix.real.tolist(),
+        "im": rho.matrix.imag.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(data, fh)

@@ -220,6 +220,31 @@ def test_corrupt_state_file_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_finite_state_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    mat = np.eye(9) / 9
+    mat[4, 4] = np.nan
+    path.write_text(json.dumps({"dim_a": 3, "dim_b": 3, "re": mat.tolist(),
+                                "im": np.zeros((9, 9)).tolist()}))
+    code, out, err = run(capsys, "certify", "--state-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_linear_algebra_failure_exits_two(monkeypatch, capsys):
+    import dimcert.cli
+
+    def fail(rho):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(dimcert.cli, "compare_all", fail)
+    code, _, err = run(capsys, "certify", "--state", "rho-w")
+    assert code == 2
+    assert err.strip() == "numerical failure: SVD did not converge"
+
+
 def test_missing_state_file_exits_one(tmp_path, capsys):
     code, _, _ = run(capsys, "certify",
                      "--state-file", str(tmp_path / "absent.json"))

@@ -14,8 +14,11 @@ from dimcert.errors import InvalidInputError
 from dimcert.states import (
     DensityMatrix,
     PureState,
+    extended_basis,
     isotropic,
     max_entangled,
+    partial_trace,
+    purity,
     random_mixed,
     random_pure,
     rho_w,
@@ -32,6 +35,16 @@ def _zoo():
         random_mixed(2, 3, 2, seed=3),
         random_pure(3, 2, seed=7).to_density(),
     ]
+
+
+def test_full_matrix_matches_kron_reference():
+    # X[k, l] = Re tr(rho (g_k (x) g_l)), term by term
+    for rho in _zoo():
+        ga = extended_basis(rho.dim_a)
+        gb = extended_basis(rho.dim_b)
+        ref = np.array([[np.trace(rho.matrix @ np.kron(a, b)).real
+                         for b in gb] for a in ga])
+        assert np.max(np.abs(correlation_data(rho).full - ref)) < 1e-12
 
 
 def test_corner_entry_is_inverse_sqrt_dims():
@@ -116,6 +129,15 @@ def test_covariance_cross_vanishes_for_product_states():
     rho = DensityMatrix(3, 3, np.kron(ra, rb))
     block = covariance_block(rho)
     assert np.max(np.abs(block.cross)) < 1e-9
+
+
+def test_covariance_block_from_state_or_correlation_data():
+    for rho in _zoo():
+        block = covariance_block(correlation_data(rho))
+        again = covariance_block(rho)
+        assert np.array_equal(block.cross, again.cross)
+        assert abs(block.purity_a - purity(partial_trace(rho, "a"))) < 1e-12
+        assert abs(block.purity_b - purity(partial_trace(rho, "b"))) < 1e-12
 
 
 def test_covariance_block_on_max_entangled_equals_su_block():

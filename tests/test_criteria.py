@@ -26,6 +26,8 @@ from dimcert.states import (
     rho_w,
 )
 
+from test_correlations import _zoo
+
 
 def _max_mixed(d):
     return DensityMatrix(d, d, np.eye(d * d) / (d * d))
@@ -255,6 +257,39 @@ def test_compare_all_report_fixtures():
     assert rep.best_bound == 1
     rep = compare_all(max_entangled(4).to_density())
     assert all(c.certified_lower_bound == 4 for c in rep.certificates)
+
+
+def test_compare_all_equals_standalone_criteria():
+    for rho in _zoo():
+        report = compare_all(rho)
+        by_id = {c.criterion_id: c for c in report.certificates}
+        parts = [sn_trace_norm(rho), sn_ccnr(rho), sn_covariance(rho)]
+        if rho.dim_a == rho.dim_b:
+            parts.append(sn_two_norm(rho))
+        for part in parts:
+            whole = by_id[part.criterion_id]
+            assert whole.certified_lower_bound == part.certified_lower_bound
+            assert abs(whole.margin - part.margin) < 1e-12
+        per_r = by_id["reduction_map"].details["per_r"]
+        assert [row["r"] for row in per_r] == list(
+            range(1, min(rho.dim_a, rho.dim_b) + 1))
+        for row in per_r:
+            assert row == sn_reduction_map(rho, row["r"])[1].details
+
+
+def test_compare_all_builds_correlation_data_once(monkeypatch):
+    import dimcert.criteria
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return correlation_data(rho)
+
+    monkeypatch.setattr(dimcert.criteria, "correlation_data", counting)
+    for rho in _zoo():
+        calls.clear()
+        compare_all(rho)
+        assert len(calls) == 1
 
 
 def test_report_serializes_to_plain_json_types():

@@ -80,6 +80,23 @@ def test_pure_state_normalization_enforced():
         PureState(2, 2, np.array([1.0, 1.0, 0, 0], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_density_matrix_rejects_non_finite(bad):
+    # a NaN on the diagonal passes every comparison-based check, so the
+    # finite check has to come first
+    m = np.eye(9, dtype=complex) / 9
+    m[4, 4] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        DensityMatrix(3, 3, m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_pure_state_rejects_non_finite(bad):
+    vec = np.array([1.0, 0, 0, bad], dtype=complex)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        PureState(2, 2, vec)
+
+
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
