@@ -53,7 +53,6 @@ from .moments import (
     MomentPair,
     ObservableM,
     exact_moments,
-    moments_from_r,
     moments_from_spectrum,
     observable_m,
     scaling_constants,
@@ -95,7 +94,7 @@ __all__ = [
     "CertificateReport", "SchmidtCertificate", "compare_all",
     "sn_ccnr", "sn_covariance", "sn_fidelity", "sn_reduction_map",
     "sn_trace_norm", "sn_two_norm",
-    "MomentPair", "ObservableM", "exact_moments", "moments_from_r",
+    "MomentPair", "ObservableM", "exact_moments",
     "moments_from_spectrum", "observable_m", "scaling_constants",
     "BoundaryCurve", "boundary_curve", "classify_point", "endpoint",
     "lower_boundary", "numeric_min_oracle", "outer_boundary_d3",

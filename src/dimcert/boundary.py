@@ -210,6 +210,10 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         if not np.isfinite(val) or val < -DOMAIN_SLACK:
             raise InvalidInputError(
                 f"{name} must be a nonnegative number, got {val!r}")
+    for name, val in (("std_s2", std_s2), ("std_s4", std_s4),
+                      ("cov_s2s4", cov_s2s4), ("k_sigma", k_sigma)):
+        if val is not None and not np.isfinite(val):
+            raise InvalidInputError(f"{name} must be finite, got {val!r}")
     s2 = max(float(s2), 0.0)
     s4 = max(float(s4), 0.0)
     conservative = std_s2 is not None or std_s4 is not None

@@ -176,6 +176,8 @@ def _check_format(args, allowed, default):
 
 def cmd_boundary(args):
     d = _require(args, "d", "--d")
+    if d < 2:
+        raise InvalidInputError(f"--d must be at least 2, got {d}")
     if args.r_list:
         try:
             r_values = sorted({int(tok) for tok in args.r_list.split(",")})

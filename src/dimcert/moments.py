@@ -38,9 +38,7 @@ __all__ = [
     "exact_moments",
     "moments_from_spectrum",
     "observable_m",
-    "moments_from_r",
     "scaling_constants",
-    "sphere_moment_constants",
 ]
 
 
@@ -81,18 +79,14 @@ def exact_moments(rho):
     return moments_from_spectrum(correlation_data(rho).epsilon, rho.dim_a)
 
 
-def moments_from_r(r2, r4, d):
-    """Convert raw sphere-average moments E[x^2], E[x^4] into (S2, S4)."""
-    c2, c4 = scaling_constants(d, "haar")
-    return MomentPair(c2 * r2, c4 * r4)
-
-
 def scaling_constants(d, path):
     """Estimator prefactors (c2, c4) with s2_hat = c2 mean(x^2) etc.
 
     ``path`` selects the sampling route: "haar" rotates the fixed
     observable by Haar unitaries, "bloch" contracts the su block with
-    unit vectors drawn uniformly from the (d^2-1)-sphere.
+    unit vectors drawn uniformly from the (d^2-1)-sphere. A Haar-rotated
+    observable has a local Bloch vector of squared norm tr M^2 = d, so
+    each Bloch constant is d^2 times (c2) or d^4 times (c4) its Haar one.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
@@ -108,35 +102,16 @@ def scaling_constants(d, path):
     return float(c2), float(c4)
 
 
-def sphere_moment_constants(n):
-    """Low moments of one coordinate pair of a uniform unit vector in R^n.
-
-    Returns E[u_i^2], E[u_i^4] and E[u_i^2 u_j^2] for i != j.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
-    return {
-        "second": 1.0 / n,
-        "fourth": 3.0 / (n * (n + 2)),
-        "cross": 1.0 / (n * (n + 2)),
-    }
-
-
 @dataclass(frozen=True)
 class ObservableM:
     """The moment-probing observable, stored through its spectrum.
 
-    ``matrix`` is the diagonal representative; any conjugation U M U^dag
-    is equally valid since only Haar rotations of it are ever measured.
+    Only Haar rotations U M U^dag of it are ever measured, so its
+    eigenvalues are all there is to store.
     """
 
     dim: int
     eigenvalues: np.ndarray
-
-    @property
-    def matrix(self):
-        return np.diag(self.eigenvalues).astype(np.complex128)
 
 
 def observable_m(d):

@@ -1,13 +1,15 @@
 """Finite-statistics moment estimation from simulated random measurements.
 
 Every sample is one correlation value x = tr(rho (A (x) B)) for an
-independently drawn pair of local directions. Two sampling paths give
-the same moments with different constants:
+independently drawn pair of traceless local observables. In the su(d)
+basis this is x = a^T X_su b, with a_k = tr(A g_k) and b_k = tr(B g_k),
+so the two sampling paths differ only in how they draw the local
+vectors a and b; one contraction with the su correlation block follows:
 
-* "haar": A = U M U^dag, B = V M V^dag for Haar-random unitaries U, V
-  and the fixed probing observable M (odd d only).
-* "bloch": x = a^T X_su b for unit vectors a, b uniform on the
-  (d^2-1)-sphere, contracted with the su correlation block.
+* "haar": the Bloch vectors of A = U M U^dag, B = V M V^dag for
+  Haar-random unitaries U, V and the fixed probing observable M (odd d
+  only).
+* "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
 (S2, S4) without bias. Sampling is organised in fixed blocks of 4096
@@ -29,9 +31,9 @@ from numpy.random import Generator, Philox
 
 from .errors import InvalidInputError
 from .boundary import classify_point
-from .correlations import correlation_data
+from .correlations import _basis_matrix, correlation_data
 from .moments import exact_moments, observable_m, scaling_constants
-from .states import as_density, isotropic
+from .states import _haar_unitaries, as_density, isotropic
 
 BLOCK = 4096
 MIN_SAMPLES = 100
@@ -85,63 +87,47 @@ def _block_rng(seed, namespace, block):
     return Generator(Philox(key=key))
 
 
-def _phase_fix(q, r):
-    dg = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (dg / np.abs(dg))[..., None, :]
-
-
 def haar_unitary(d, rng):
     """One Haar-distributed d x d unitary from the given generator."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidInputError(f"d must be a positive integer, got {d!r}")
-    raw = rng.standard_normal((int(d), int(d), 2))
-    z = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    return _phase_fix(q, r)
+    return _haar_unitaries((), int(d), rng)
 
 
-def _haar_block_x(rho4, m_eigs, d, m, rng):
-    raw = rng.standard_normal((2, m, d, d, 2))
-    z = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    q = _phase_fix(q, r)
-    rot_a = np.einsum("nij,j,nkj->nik", q[0], m_eigs, q[0].conj(),
-                      optimize=True)
-    rot_b = np.einsum("nij,j,nkj->nik", q[1], m_eigs, q[1].conj(),
-                      optimize=True)
-    return np.einsum("ijkl,nki,nlj->n", rho4, rot_a, rot_b,
-                     optimize=True).real
+def _local_vectors(d, m_eigs, m, rng):
+    """Two stacks of m local su(d) vectors, shape (2, m, d^2 - 1).
 
-
-def _bloch_block_x(x_su, n_dim, m, rng):
-    raw = rng.standard_normal((2, m, n_dim))
-    vecs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    return np.einsum("ni,ij,nj->n", vecs[0], x_su, vecs[1], optimize=True)
+    Without a probing spectrum the vectors are uniform on the unit sphere
+    ("bloch"). With one, entry k is tr(U M U^dag g_k) for a Haar-random U
+    ("haar"), so every vector has squared norm tr M^2 = d.
+    """
+    if m_eigs is None:
+        raw = rng.standard_normal((2, m, d * d - 1))
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    u = _haar_unitaries((2, m), d, rng)
+    rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
+    return (rot.reshape(2, m, d * d) @ _basis_matrix(d)[1:].T).real
 
 
 def _sample_x(rho, n_tot, seed, path, workers, namespace):
     d = rho.dim_a
     if path == "haar":
         m_eigs = observable_m(d).eigenvalues
-        rho4 = np.ascontiguousarray(
-            rho.matrix.reshape(d, d, d, d))
-        def block_fn(m, rng):
-            return _haar_block_x(rho4, m_eigs, d, m, rng)
     elif path == "bloch":
-        x_su = correlation_data(rho).su
-        n_dim = d * d - 1
-        def block_fn(m, rng):
-            return _bloch_block_x(x_su, n_dim, m, rng)
+        m_eigs = None
     else:
         raise InvalidInputError(f"unknown path {path!r}; use 'haar' or 'bloch'")
+    x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
     x = np.empty(n_tot)
 
     def run_block(b):
         start = b * BLOCK
         stop = min(start + BLOCK, n_tot)
-        rng = _block_rng(seed, namespace, b)
-        x[start:stop] = block_fn(stop - start, rng)
+        vecs = _local_vectors(d, m_eigs, stop - start,
+                              _block_rng(seed, namespace, b))
+        x[start:stop] = np.einsum("ni,ij,nj->n", vecs[0], x_su, vecs[1],
+                                  optimize=True)
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:

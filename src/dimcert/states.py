@@ -80,14 +80,11 @@ class SuBasis:
         Local dimension d.
     generators : ndarray, shape (d*d - 1, d, d)
         Generators ordered symmetric, antisymmetric, diagonal; normalized
-        so that ``tr(g_i g_j) = pair_trace * delta_ij``.
-    pair_trace : float
-        Hilbert-Schmidt normalization of a generator pair (always 1.0).
+        so that ``tr(g_i g_j) = delta_ij``.
     """
 
     dim: int
     generators: np.ndarray
-    pair_trace: float = 1.0
 
 
 @lru_cache(maxsize=None)
@@ -423,18 +420,24 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     core /= np.linalg.norm(core)
     coeff = np.zeros((da, db), dtype=np.complex128)
     coeff[:r, :r] = core
-    ua = _haar(da, rng)
-    ub = _haar(db, rng)
+    ua = _haar_unitaries((), da, rng)
+    ub = _haar_unitaries((), db, rng)
     coeff = ua @ coeff @ ub.T
     return PureState(da, db, coeff.reshape(-1))
 
 
-def _haar(d, rng):
-    """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def _haar_unitaries(shape, d, rng):
+    """Haar-random d x d unitaries stacked to ``shape``.
+
+    QR of a complex Ginibre stack, with the phases of R's diagonal moved
+    into Q so that the distribution is exactly Haar (Mezzadri,
+    math-ph/0609050). Returns an array of shape ``(*shape, d, d)``.
+    """
+    raw = rng.standard_normal((*shape, d, d, 2))
+    z = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_mixed(dim_a, dim_b, rank, seed):
@@ -470,11 +473,16 @@ def read_state_json(path):
     Validation reports the first violated property (shape, finite entries,
     hermiticity, trace, positivity, in that order).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"state file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"state file {path} is not UTF-8 text: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(
+            f"state file {path} must hold a JSON object, got {type(data).__name__}")
     for key in ("dim_a", "dim_b", "re", "im"):
         if key not in data:
             raise InvalidInputError(f"state file {path} is missing the {key!r} field")

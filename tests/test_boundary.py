@@ -141,6 +141,17 @@ def test_classify_validation():
         classify_point(1.0, 0.5, 3, std_s2=0.1, std_s4=-0.1, k_sigma=2.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"std_s2": np.nan}, {"std_s4": np.inf}, {"cov_s2s4": np.nan},
+    {"k_sigma": np.inf}, {"k_sigma": np.nan},
+], ids=["std_s2-nan", "std_s4-inf", "cov-nan", "k-inf", "k-nan"])
+def test_classify_rejects_non_finite_uncertainties(bad):
+    ok = {"std_s2": 0.01, "std_s4": 0.01, "cov_s2s4": 0.0, "k_sigma": 3.0}
+    assert classify_point(2.0, 1.5, 3, **ok).certified_lower_bound == 3
+    with pytest.raises(InvalidInputError, match="finite"):
+        classify_point(2.0, 1.5, 3, **{**ok, **bad})
+
+
 def test_classify_conservative_never_beats_exact():
     rng = np.random.default_rng(2)
     for _ in range(50):

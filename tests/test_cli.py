@@ -220,6 +220,17 @@ def test_corrupt_state_file_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("content", [b"5", b"null", b"\xff\xfe{}"],
+                         ids=["int", "null", "undecodable"])
+def test_state_file_not_a_json_object_exits_one(tmp_path, capsys, content):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "certify", "--state-file", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_non_finite_state_file_exits_one(tmp_path, capsys):
     path = tmp_path / "nan.json"
     mat = np.eye(9) / 9
@@ -249,6 +260,14 @@ def test_missing_state_file_exits_one(tmp_path, capsys):
     code, _, _ = run(capsys, "certify",
                      "--state-file", str(tmp_path / "absent.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_boundary_dimension_below_two_exits_one(capsys, d):
+    code, out, err = run(capsys, "boundary", "--d", d, "--grid", "3")
+    assert code == 1
+    assert out == ""
+    assert "--d" in err
 
 
 def test_unwritable_out_exits_one(tmp_path, capsys):

@@ -8,11 +8,9 @@ from dimcert.errors import InvalidInputError
 from dimcert.moments import (
     MomentPair,
     exact_moments,
-    moments_from_r,
     moments_from_spectrum,
     observable_m,
     scaling_constants,
-    sphere_moment_constants,
 )
 from dimcert.states import (
     isotropic,
@@ -116,27 +114,6 @@ def test_scaling_constants_fixtures():
         scaling_constants(1, "haar")
 
 
-def test_moments_from_r_inverts_constants():
-    c2, c4 = scaling_constants(3, "haar")
-    pair = moments_from_r(2.0 / c2, (5 / 3) / c4, 3)
-    assert abs(pair.s2 - 2.0) < 1e-12
-    assert abs(pair.s4 - 5 / 3) < 1e-12
-
-
-def test_sphere_moment_constants_against_monte_carlo():
-    n = 8
-    consts = sphere_moment_constants(n)
-    assert consts["second"] == 1 / 8
-    assert abs(consts["fourth"] - 3 / 80) < 1e-15
-    assert abs(consts["cross"] - 1 / 80) < 1e-15
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal((200_000, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    assert abs(np.mean(v[:, 0] ** 2) - consts["second"]) < 5e-4
-    assert abs(np.mean(v[:, 0] ** 4) - consts["fourth"]) < 5e-4
-    assert abs(np.mean(v[:, 0] ** 2 * v[:, 1] ** 2) - consts["cross"]) < 5e-4
-
-
 def test_observable_m_qutrit_spectrum():
     obs = observable_m(3)
     expect = np.array([1.14813856, -1.28914507, 0.14100650])
@@ -155,11 +132,6 @@ def test_observable_m_trace_conditions(d):
 def test_observable_m_even_dimensions_rejected(d):
     with pytest.raises(InvalidInputError, match="odd"):
         observable_m(d)
-
-
-def test_observable_matrix_is_diagonal_representative():
-    obs = observable_m(3)
-    assert np.allclose(obs.matrix, np.diag(obs.eigenvalues))
 
 
 def test_rho_w_moments_inside_cone():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dimcert.errors import InvalidInputError
-from dimcert.moments import exact_moments, scaling_constants
+from dimcert.moments import exact_moments, observable_m, scaling_constants
 from dimcert.randsim import (
+    _NS_MAIN,
+    _block_rng,
     analytic_noise_threshold,
     detect_with_confidence,
     estimate_moments,
@@ -13,7 +15,13 @@ from dimcert.randsim import (
     noise_tolerance,
     predicted_variance,
 )
-from dimcert.states import PureState, isotropic, max_entangled
+from dimcert.states import (
+    PureState,
+    _haar_unitaries,
+    isotropic,
+    max_entangled,
+    random_mixed,
+)
 
 
 def me3():
@@ -53,6 +61,24 @@ def test_haar_first_moment_uniform_rows():
     # var of |u|^2 is (d-1)/(d^2(d+1)) ~ 0.0185 for d=3
     se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
     assert np.all(np.abs(acc - 1 / d) < 4 * se + 1e-3)
+
+
+# --- the sampling engine ---------------------------------------------------
+
+@pytest.mark.parametrize("rho", [
+    max_entangled(3).to_density(), isotropic(5, 0.3),
+    random_mixed(7, 7, 4, seed=1),
+], ids=["me3", "iso5", "mixed7"])
+def test_haar_samples_match_kron_reference(rho):
+    # x = Re tr(rho (U M U^dag (x) V M V^dag)) with the unitaries of block 0
+    d, n, seed = rho.dim_a, 200, 13
+    x = estimate_moments(rho, n, seed, path="haar", keep_samples=True).samples
+    u = _haar_unitaries((2, n), d, _block_rng(seed, _NS_MAIN, 0))
+    m = np.diag(observable_m(d).eigenvalues)
+    ref = [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
+                                         b @ m @ b.conj().T)).real
+           for a, b in zip(u[0], u[1])]
+    assert np.max(np.abs(x - ref)) < 1e-12
 
 
 # --- estimator contract ---------------------------------------------------
