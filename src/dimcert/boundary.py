@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int
 from .criteria import VIOLATION_TOL, SchmidtCertificate
 
 G_CLAMP = -1e-12
@@ -44,12 +44,8 @@ __all__ = [
 
 
 def _check_dr(d, r):
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= d:
-        raise InvalidInputError(
-            f"r must be an integer in [1, {int(d)}], got {r!r}")
-    return int(d), int(r)
+    d = _check_int(d, "d", 2)
+    return d, _check_int(r, "r", 1, d)
 
 
 def endpoint(d, r):
@@ -203,9 +199,7 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
     through the local slope of the curve, including the covariance of the
     two estimates, so correlated errors are not double counted.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = _check_int(d, "d", 2)
     for name, val in (("s2", s2), ("s4", s4)):
         if not np.isfinite(val) or val < -DOMAIN_SLACK:
             raise InvalidInputError(
@@ -313,17 +307,13 @@ def region_scatter(d, n_states, seed):
     from .moments import exact_moments
     from .states import random_mixed, random_pure
 
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(n_states, (int, np.integer)) or n_states < 1:
-        raise InvalidInputError(
-            f"n_states must be a positive integer, got {n_states!r}")
-    d = int(d)
+    d = _check_int(d, "d", 2)
+    n_states = _check_int(n_states, "n_states")
     mixed_ranks = sorted({2, 3, d, max(2, d * d // 2), d * d})
     pattern = [("pure", r) for r in range(1, d + 1)]
     pattern += [("mixed", k) for k in mixed_ranks]
     rows = []
-    for i in range(int(n_states)):
+    for i in range(n_states):
         kind, rank = pattern[i % len(pattern)]
         sub = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
         if kind == "pure":

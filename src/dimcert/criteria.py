@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int
 from .correlations import (
     CovarianceBlock,
     as_correlation_data,
@@ -136,9 +136,7 @@ def _jsonable(obj):
 def _restrict(rows, r_test, dmin):
     if r_test is None:
         return rows
-    if not isinstance(r_test, (int, np.integer)) or not 1 <= r_test <= dmin:
-        raise InvalidInputError(
-            f"r_test must be an integer in [1, {dmin}], got {r_test!r}")
+    r_test = _check_int(r_test, "r_test", 1, dmin)
     return [row for row in rows if row[0] == r_test]
 
 
@@ -294,9 +292,7 @@ def sn_reduction_map(rho, r):
         -1e-10, certifying bound r + 1.
     """
     rho = as_density(rho)
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise InvalidInputError(f"r must be a positive integer, got {r!r}")
-    row, = _reduction_rows(rho, [r])
+    row, = _reduction_rows(rho, [_check_int(r, "r")])
     dmin = min(rho.dim_a, rho.dim_b)
     return row["violated"], _reduction_certificate([row], dmin, row)
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check.
 
 Two categories matter to callers (and to the CLI exit codes): bad input
 versus a numerical result that violates an internal consistency guarantee.
 """
+
+import numpy as np
 
 
 class DimcertError(Exception):
@@ -20,3 +22,15 @@ class NumericalConsistencyError(DimcertError, ArithmeticError):
     (e.g. a correlation coefficient with an imaginary part beyond 1e-9),
     which points at a corrupted input matrix rather than roundoff.
     """
+
+
+def _check_int(value, name, lo=1, hi=None):
+    """``value`` as an int if it is an integer in [lo, hi], else InvalidInputError.
+
+    ``hi=None`` leaves the range open above; bool is not an integer here.
+    """
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    rule = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    raise InvalidInputError(f"{name} must be {rule}, got {value!r}")

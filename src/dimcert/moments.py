@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalConsistencyError
+from .errors import InvalidInputError, NumericalConsistencyError, _check_int
 from .correlations import correlation_data
 from .states import as_density
 
@@ -88,9 +88,7 @@ def scaling_constants(d, path):
     observable has a local Bloch vector of squared norm tr M^2 = d, so
     each Bloch constant is d^2 times (c2) or d^4 times (c4) its Haar one.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = _check_int(d, "d", 2)
     if path == "haar":
         c2 = (d + 1) ** 2
         c4 = (d + 1) ** 2 * (d * d + 1) ** 2 / (9 * (d - 1) ** 2)
@@ -122,10 +120,10 @@ def observable_m(d):
     quartic trace condition. tr M = 0 and tr M^2 = d hold by construction
     and are re-checked to 1e-10.
     """
-    if not isinstance(d, (int, np.integer)) or d < 3 or d % 2 == 0:
+    d = _check_int(d, "odd d", 3)
+    if d % 2 == 0:
         raise InvalidInputError(
             f"the probing observable exists only for odd d >= 3, got {d!r}")
-    d = int(d)
     y = 0.5 * (1 - math.sqrt(
         1 + (d + 3 + math.sqrt(d ** 3 + 3 * d * d + d + 3)) / (d - 2)))
     t = (2 * y - 1) ** 2

@@ -8,7 +8,10 @@ vectors a and b; one contraction with the su correlation block follows:
 
 * "haar": the Bloch vectors of A = U M U^dag, B = V M V^dag for
   Haar-random unitaries U, V and the fixed probing observable M (odd d
-  only).
+  only). U is Gram-Schmidt on a complex Gaussian matrix: the QR factor
+  with a positive R diagonal, exactly Haar. The last (d-1)/2 eigenvalues
+  of M are equal, so U M U^dag is, up to a multiple of the identity, set
+  by the first (d+1)/2 columns of U, and only those are orthonormalised.
 * "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
@@ -22,18 +25,20 @@ thread pool.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int
 from .boundary import classify_point
 from .correlations import _basis_matrix, correlation_data
 from .moments import exact_moments, observable_m, scaling_constants
-from .states import _haar_unitaries, as_density, isotropic
+from .states import _haar_unitaries, as_density, as_rng, isotropic
 
 BLOCK = 4096
 MIN_SAMPLES = 100
@@ -41,7 +46,7 @@ MIN_SAMPLES = 100
 _SAMPLING = "randomized moment estimation"
 _NS_MAIN = 0
 _NS_EIGHTH = 1
-_MAX_SEED = 2 ** 64
+_MAX_SEED = 2 ** 64 - 1
 
 __all__ = [
     "BLOCK",
@@ -59,13 +64,6 @@ __all__ = [
 ]
 
 
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
-        raise InvalidInputError(
-            f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
-
-
 def _resolve_workers(workers):
     if workers is None:
         env = os.environ.get("DIMCERT_THREADS")
@@ -76,10 +74,7 @@ def _resolve_workers(workers):
         except ValueError:
             raise InvalidInputError(
                 f"DIMCERT_THREADS must be a positive integer, got {env!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise InvalidInputError(
-            f"workers must be a positive integer, got {workers!r}")
-    return int(workers)
+    return _check_int(workers, "workers")
 
 
 def _block_rng(seed, namespace, block):
@@ -88,10 +83,19 @@ def _block_rng(seed, namespace, block):
 
 
 def haar_unitary(d, rng):
-    """One Haar-distributed d x d unitary from the given generator."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidInputError(f"d must be a positive integer, got {d!r}")
-    return _haar_unitaries((), int(d), rng)
+    """One Haar-distributed d x d unitary from a Generator or a seed."""
+    return _haar_unitaries((), _check_int(d, "d"), as_rng(rng))
+
+
+@lru_cache(maxsize=None)
+def _real_projector(d):
+    """``Z.view(float64) @ P`` is ``(Z @ G^T).real``, G the su(d) basis rows."""
+    g = _basis_matrix(d)[1:].T
+    proj = np.empty((2 * d * d, d * d - 1))
+    proj[0::2] = g.real
+    proj[1::2] = -g.imag
+    proj.setflags(write=False)
+    return proj
 
 
 def _local_vectors(d, m_eigs, m, rng):
@@ -99,14 +103,19 @@ def _local_vectors(d, m_eigs, m, rng):
 
     Without a probing spectrum the vectors are uniform on the unit sphere
     ("bloch"). With one, entry k is tr(U M U^dag g_k) for a Haar-random U
-    ("haar"), so every vector has squared norm tr M^2 = d.
+    ("haar"), so every vector has squared norm tr M^2 = d. When the last
+    d - k eigenvalues equal m_last, U M U^dag = sum_{j<k} (m_j - m_last)
+    u_j u_j^dag + m_last I, and the identity has no su(d) component.
     """
     if m_eigs is None:
         raw = rng.standard_normal((2, m, d * d - 1))
         return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    u = _haar_unitaries((2, m), d, rng)
-    rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
-    return (rot.reshape(2, m, d * d) @ _basis_matrix(d)[1:].T).real
+    k = d
+    while k and m_eigs[k - 1] == m_eigs[-1]:
+        k -= 1
+    u = _haar_unitaries((2, m), d, rng, columns=k)
+    rot = (u * (m_eigs[:k] - m_eigs[-1])) @ u.conj().swapaxes(-1, -2)
+    return rot.reshape(2, m, d * d).view(np.float64) @ _real_projector(d)
 
 
 def _sample_x(rho, n_tot, seed, path, workers, namespace):
@@ -181,11 +190,8 @@ def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
     Fewer than 100 samples are rejected: below that the error estimates
     this result carries are not meaningful.
     """
-    if not isinstance(n_tot, (int, np.integer)) or n_tot < MIN_SAMPLES:
-        raise InvalidInputError(
-            f"n_tot must be an integer >= {MIN_SAMPLES}, got {n_tot!r}")
-    n_tot = int(n_tot)
-    seed = _check_seed(seed)
+    n_tot = _check_int(n_tot, "n_tot", MIN_SAMPLES)
+    seed = _check_int(seed, "seed", 0, _MAX_SEED)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
     d = rho.dim_a
     x = _sample_x(rho, n_tot, seed, path, workers, _NS_MAIN)
@@ -226,28 +232,24 @@ class PredictedVariance:
 def predicted_variance(rho, n_tot, seed=0, path="haar",
                        m8_samples=2_000_000, workers=None):
     """Predicted var(s2_hat), var(s4_hat) for a state at sample budget n_tot."""
-    if not isinstance(n_tot, (int, np.integer)) or n_tot < 1:
-        raise InvalidInputError(
-            f"n_tot must be a positive integer, got {n_tot!r}")
-    if not isinstance(m8_samples, (int, np.integer)) or m8_samples < 10_000:
-        raise InvalidInputError(
-            f"m8_samples must be an integer >= 10000, got {m8_samples!r}")
-    seed = _check_seed(seed)
+    n_tot = _check_int(n_tot, "n_tot")
+    m8_samples = _check_int(m8_samples, "m8_samples", 10_000)
+    seed = _check_int(seed, "seed", 0, _MAX_SEED)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
     d = rho.dim_a
     c2, c4 = scaling_constants(d, path)
     pair = exact_moments(rho)
     m2 = pair.s2 / c2
     m4 = pair.s4 / c4
-    x = _sample_x(rho, int(m8_samples), seed, path, workers, _NS_EIGHTH)
+    x = _sample_x(rho, m8_samples, seed, path, workers, _NS_EIGHTH)
     x8 = x ** 8
     m8 = float(np.mean(x8))
     m8_err = float(np.std(x8, ddof=1)) / math.sqrt(len(x8))
     var_s2 = c2 * c2 * max(m4 - m2 * m2, 0.0) / n_tot
     var_s4 = c4 * c4 * max(m8 - m4 * m4, 0.0) / n_tot
     return PredictedVariance(
-        var_s2=var_s2, var_s4=var_s4, n_tot=int(n_tot), path=path,
-        m8=m8, m8_std_error=m8_err, m8_samples=int(m8_samples))
+        var_s2=var_s2, var_s4=var_s4, n_tot=n_tot, path=path,
+        m8=m8, m8_std_error=m8_err, m8_samples=m8_samples)
 
 
 @dataclass
@@ -275,7 +277,8 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     reported bound above 1 is wrong with probability roughly the
     one-sided Gaussian tail at k_sigma.
     """
-    if not np.isfinite(k_sigma) or k_sigma < 0:
+    if (not isinstance(k_sigma, numbers.Real) or not np.isfinite(k_sigma)
+            or k_sigma < 0):
         raise InvalidInputError(
             f"k_sigma must be a nonnegative number, got {k_sigma!r}")
     rho = as_density(rho, equal_dims_for=_SAMPLING)
@@ -297,15 +300,9 @@ def analytic_noise_threshold(d, target_bound):
     when its S2 passes the parabola's share of that region, at
     p = 1 - (d (target_bound - 1) - 1)/(d^2 - 1).
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(target_bound, (int, np.integer)) or \
-            not 2 <= target_bound <= d:
-        raise InvalidInputError(
-            f"target_bound must be an integer in [2, {int(d)}], "
-            f"got {target_bound!r}")
-    d = int(d)
-    return 1.0 - (d * (int(target_bound) - 1) - 1) / (d * d - 1)
+    d = _check_int(d, "d", 2)
+    target_bound = _check_int(target_bound, "target_bound", 2, d)
+    return 1.0 - (d * (target_bound - 1) - 1) / (d * d - 1)
 
 
 @dataclass
@@ -343,7 +340,7 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar",
     derived sub-seed; the bracket [certified, uncertified] narrows to
     1e-3. The analytic threshold rides along for comparison.
     """
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed", 0, _MAX_SEED)
     analytic = analytic_noise_threshold(d, target_bound)
     evaluations = []
 

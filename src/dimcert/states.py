@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int
 
 STRUCT_TOL = 1e-10
 DERIVED_TOL = 1e-9
@@ -51,12 +51,6 @@ __all__ = [
     "read_state_json",
     "write_state_json",
 ]
-
-
-def _check_dim(d, name="dimension"):
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"{name} must be an integer >= 2, got {d!r}")
-    return int(d)
 
 
 def as_rng(seed):
@@ -123,7 +117,7 @@ def gell_mann_basis(d):
     -------
     SuBasis
     """
-    d = _check_dim(d)
+    d = _check_int(d, "dimension", 2)
     return SuBasis(dim=d, generators=_gell_mann_cached(d))
 
 
@@ -134,7 +128,7 @@ def extended_basis(d):
     Index 0 is the normalized identity; indices 1..d^2-1 follow the
     ``gell_mann_basis`` order. Shape (d*d, d, d), read-only.
     """
-    d = _check_dim(d)
+    d = _check_int(d, "dimension", 2)
     full = np.zeros((d * d, d, d), dtype=np.complex128)
     full[0] = np.eye(d) / np.sqrt(d)
     full[1:] = _gell_mann_cached(d)
@@ -161,8 +155,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.dim_a = _check_dim(self.dim_a, "dim_a")
-        self.dim_b = _check_dim(self.dim_b, "dim_b")
+        self.dim_a = _check_int(self.dim_a, "dim_a", 2)
+        self.dim_b = _check_int(self.dim_b, "dim_b", 2)
         mat = np.asarray(self.matrix, dtype=np.complex128)
         n = self.dim_a * self.dim_b
         if mat.shape != (n, n):
@@ -202,8 +196,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.dim_a = _check_dim(self.dim_a, "dim_a")
-        self.dim_b = _check_dim(self.dim_b, "dim_b")
+        self.dim_a = _check_int(self.dim_a, "dim_a", 2)
+        self.dim_b = _check_int(self.dim_b, "dim_b", 2)
         vec = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         n = self.dim_a * self.dim_b
         if vec.shape != (n,):
@@ -299,10 +293,8 @@ def max_entangled(r, d=None):
 
     With ``d = None`` the embedding dimension equals r.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise InvalidInputError(f"r must be a positive integer, got {r!r}")
-    r = int(r)
-    d = max(r, 2) if d is None else _check_dim(d)
+    r = _check_int(r, "r")
+    d = max(r, 2) if d is None else _check_int(d, "dimension", 2)
     if r > d:
         raise InvalidInputError(f"r = {r} exceeds the local dimension d = {d}")
     vec = np.zeros(d * d, dtype=np.complex128)
@@ -317,7 +309,7 @@ def isotropic(d, p):
     rho = (1 - p) |Psi_d^+><Psi_d^+| + p/d^2 * identity, with the noise
     fraction p in [0, 1].
     """
-    d = _check_dim(d)
+    d = _check_int(d, "dimension", 2)
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"noise fraction p must lie in [0, 1], got {p}")
     pure = max_entangled(d).to_density().matrix
@@ -405,17 +397,14 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     (with probability one) while keeping the distribution locally unitarily
     invariant.
     """
-    da = _check_dim(dim_a, "dim_a")
-    db = _check_dim(dim_b, "dim_b")
+    da = _check_int(dim_a, "dim_a", 2)
+    db = _check_int(dim_b, "dim_b", 2)
     rng = as_rng(seed)
     if schmidt_rank is None:
         vec = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
         vec /= np.linalg.norm(vec)
         return PureState(da, db, vec)
-    r = schmidt_rank
-    if not isinstance(r, (int, np.integer)) or not 1 <= r <= min(da, db):
-        raise InvalidInputError(
-            f"schmidt_rank must be an integer in [1, {min(da, db)}], got {r!r}")
+    r = _check_int(schmidt_rank, "schmidt_rank", 1, min(da, db))
     core = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     core /= np.linalg.norm(core)
     coeff = np.zeros((da, db), dtype=np.complex128)
@@ -426,18 +415,30 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     return PureState(da, db, coeff.reshape(-1))
 
 
-def _haar_unitaries(shape, d, rng):
+def _haar_unitaries(shape, d, rng, columns=None):
     """Haar-random d x d unitaries stacked to ``shape``.
 
-    QR of a complex Ginibre stack, with the phases of R's diagonal moved
-    into Q so that the distribution is exactly Haar (Mezzadri,
-    math-ph/0609050). Returns an array of shape ``(*shape, d, d)``.
+    Modified Gram-Schmidt on the columns of a complex Ginibre stack gives
+    the Q of Z = QR with a positive R diagonal, which is exactly Haar
+    (Mezzadri, math-ph/0609050). Column j of Q depends only on columns
+    0..j of Z, so ``columns=k`` (default d) returns the leading k columns
+    of the same unitaries, shape ``(*shape, d, k)``. The Haar sampling path
+    needs (d+1)/2: its probing observable's last (d-1)/2 eigenvalues are
+    equal, so their eigenvectors enter U M U^dag only through the identity.
     """
+    k = d if columns is None else columns
     raw = rng.standard_normal((*shape, d, d, 2))
-    z = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    # row j of q is column j of Z, so each column is contiguous
+    q = np.ascontiguousarray(
+        raw.view(np.complex128)[..., 0].swapaxes(-1, -2)[..., :k, :])
+    for j in range(k):
+        col = q[..., j, :]
+        flat = col.view(np.float64)
+        col /= np.sqrt(np.einsum("...i,...i->...", flat, flat))[..., None]
+        rest = q[..., j + 1:, :]
+        overlap = np.einsum("...i,...ji->...j", col.conj(), rest)
+        rest -= overlap[..., None] * col[..., None, :]
+    return q.swapaxes(-1, -2)
 
 
 def random_mixed(dim_a, dim_b, rank, seed):
@@ -446,12 +447,10 @@ def random_mixed(dim_a, dim_b, rank, seed):
     Partial trace over a rank-dimensional ancilla of a Haar-random pure
     state on (d_a * d_b) x rank.
     """
-    da = _check_dim(dim_a, "dim_a")
-    db = _check_dim(dim_b, "dim_b")
+    da = _check_int(dim_a, "dim_a", 2)
+    db = _check_int(dim_b, "dim_b", 2)
     n = da * db
-    if not isinstance(rank, (int, np.integer)) or not 1 <= rank <= n:
-        raise InvalidInputError(
-            f"rank must be an integer in [1, {n}], got {rank!r}")
+    rank = _check_int(rank, "rank", 1, n)
     rng = as_rng(seed)
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     g /= np.linalg.norm(g)

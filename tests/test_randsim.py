@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dimcert.correlations import _basis_matrix
 from dimcert.errors import InvalidInputError
 from dimcert.moments import exact_moments, observable_m, scaling_constants
 from dimcert.randsim import (
     _NS_MAIN,
     _block_rng,
+    _local_vectors,
     analytic_noise_threshold,
     detect_with_confidence,
     estimate_moments,
@@ -61,6 +63,63 @@ def test_haar_first_moment_uniform_rows():
     # var of |u|^2 is (d-1)/(d^2(d+1)) ~ 0.0185 for d=3
     se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
     assert np.all(np.abs(acc - 1 / d) < 4 * se + 1e-3)
+
+
+def test_haar_unitary_accepts_seed_or_none():
+    assert np.array_equal(haar_unitary(3, 5),
+                          haar_unitary(3, np.random.default_rng(5)))
+    u = haar_unitary(4, None)
+    assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+class _Fixed:
+    """A stand-in generator that hands out one fixed normal array."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def standard_normal(self, shape):
+        assert shape == self.raw.shape
+        return self.raw
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_gram_schmidt_matches_phase_fixed_qr(d):
+    # the Q of QR with R's diagonal phases moved into Q, on the same normals
+    raw = np.random.default_rng(d).standard_normal((3, 700, d, d, 2))
+    q, r = np.linalg.qr(raw[..., 0] + 1j * raw[..., 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    ref = q * (diag / np.abs(diag))[..., None, :]
+    u = _haar_unitaries((3, 700), d, _Fixed(raw))
+    assert u.shape == (3, 700, d, d)
+    assert np.max(np.abs(u - ref)) < 1e-12
+    for k in range(1, d + 1):
+        lead = _haar_unitaries((3, 700), d, _Fixed(raw), columns=k)
+        assert np.max(np.abs(lead - u[..., :k])) < 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_gram_schmidt_unitary_over_a_million_draws(d):
+    rng = np.random.default_rng(100 + d)
+    worst = 0.0
+    for _ in range(2 ** 20 // 2 ** 13):
+        u = _haar_unitaries((2 ** 13,), d, rng)
+        gram = u.conj().swapaxes(-1, -2) @ u
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(d)))))
+    assert worst < 1e-11
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_truncated_local_vectors_match_full_projection(d):
+    # (d+1)/2 orthonormal columns give the su(d) part of U M U^dag exactly
+    m_eigs = observable_m(d).eigenvalues
+    vecs = _local_vectors(d, m_eigs, 300, np.random.default_rng(d))
+    u = _haar_unitaries((2, 300), d, np.random.default_rng(d))
+    rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
+    ref = (rot.reshape(2, 300, d * d) @ _basis_matrix(d)[1:].T).real
+    assert vecs.shape == (2, 300, d * d - 1)
+    assert np.max(np.abs(vecs - ref)) < 1e-12
+    assert np.allclose(np.sum(vecs ** 2, axis=-1), d, atol=1e-12)
 
 
 # --- the sampling engine ---------------------------------------------------
@@ -191,6 +250,17 @@ def test_predicted_variance_validation():
         predicted_variance(me3(), 1000, seed=0, m8_samples=10)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_tot": True}, {"seed": True}, {"workers": True}, {"workers": 0},
+    {"n_tot": 1000.0},
+], ids=["n_tot-bool", "seed-bool", "workers-bool", "workers-0",
+        "n_tot-float"])
+def test_integer_arguments_reject_bool_and_float(kwargs):
+    args = {"n_tot": 1000, "seed": 1} | kwargs
+    with pytest.raises(InvalidInputError, match="integer"):
+        estimate_moments(me3(), **args)
+
+
 # --- detection ------------------------------------------------------------
 
 def test_detection_certifies_me3_with_margin():
@@ -205,6 +275,17 @@ def test_detection_never_overcertifies_product_states():
     for seed in range(12):
         det = detect_with_confidence(rho, 2000, k_sigma=3.0, seed=seed)
         assert det.certificate.certified_lower_bound == 1
+
+
+@pytest.mark.parametrize("k_sigma", ["x", None, [3.0], float("nan"), -1.0])
+def test_detection_rejects_bad_k_sigma(k_sigma):
+    with pytest.raises(InvalidInputError, match="k_sigma"):
+        detect_with_confidence(me3(), 1000, k_sigma=k_sigma, seed=1)
+
+
+def test_noise_tolerance_rejects_non_numeric_k_sigma():
+    with pytest.raises(InvalidInputError, match="k_sigma"):
+        noise_tolerance(3, 3, n_tot=1000, k_sigma="x", seed=1)
 
 
 def test_detection_result_serializes():

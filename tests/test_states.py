@@ -205,6 +205,18 @@ def test_random_mixed_rank_and_validity(rank):
     assert abs(np.trace(rho.matrix).real - 1) < 1e-12
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: max_entangled(True), "r"),
+    (lambda: random_mixed(2, 2, True, seed=0), "rank"),
+    (lambda: random_pure(3, 3, 0, schmidt_rank=True), "schmidt_rank"),
+    (lambda: random_pure(3, 3, 0, schmidt_rank=2.0), "schmidt_rank"),
+    (lambda: isotropic(np.int64(1), 0.5), "dimension"),
+], ids=["r-bool", "rank-bool", "schmidt-bool", "schmidt-float", "d-low"])
+def test_integer_arguments_reject_bool_float_and_range(make, name):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+        make()
+
+
 def test_state_json_round_trip(tmp_path):
     rho = rho_w()
     path = tmp_path / "state.json"
