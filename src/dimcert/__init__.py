@@ -19,7 +19,6 @@ from .states import (
     DensityMatrix,
     PureState,
     family_state,
-    gell_mann_basis,
     isotropic,
     max_entangled,
     partial_trace,
@@ -34,7 +33,6 @@ from .states import (
 from .correlations import (
     CorrelationData,
     correlation_data,
-    operator_schmidt_values,
     trace_norm,
     two_norm,
 )
@@ -51,7 +49,6 @@ from .criteria import (
 )
 from .moments import (
     MomentPair,
-    ObservableM,
     exact_moments,
     moments_from_spectrum,
     observable_m,
@@ -85,17 +82,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimcertError", "InvalidInputError", "NumericalConsistencyError",
-    "DensityMatrix", "PureState", "family_state", "gell_mann_basis",
-    "isotropic", "max_entangled", "partial_trace", "purity",
-    "random_mixed", "random_pure", "read_state_json", "rho_w",
-    "schmidt_coefficients", "write_state_json",
-    "CorrelationData", "correlation_data", "operator_schmidt_values",
-    "trace_norm", "two_norm",
+    "DensityMatrix", "PureState", "family_state", "isotropic",
+    "max_entangled", "partial_trace", "purity", "random_mixed",
+    "random_pure", "read_state_json", "rho_w", "schmidt_coefficients",
+    "write_state_json",
+    "CorrelationData", "correlation_data", "trace_norm", "two_norm",
     "CertificateReport", "SchmidtCertificate", "compare_all",
     "sn_ccnr", "sn_covariance", "sn_fidelity", "sn_reduction_map",
     "sn_trace_norm", "sn_two_norm",
-    "MomentPair", "ObservableM", "exact_moments",
-    "moments_from_spectrum", "observable_m", "scaling_constants",
+    "MomentPair", "exact_moments", "moments_from_spectrum",
+    "observable_m", "scaling_constants",
     "BoundaryCurve", "boundary_curve", "classify_point", "endpoint",
     "lower_boundary", "numeric_min_oracle", "outer_boundary_d3",
     "region_scatter", "two_norm_line",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_int
+from .errors import InvalidInputError, _check_int, _check_real
 from .criteria import VIOLATION_TOL, SchmidtCertificate
 
 G_CLAMP = -1e-12
@@ -63,14 +63,13 @@ def lower_boundary(d, r, s2):
     innermost quadratic piece covers [0, B_r^2/(d^2-1)].
     """
     d, r = _check_dr(d, r)
-    if not np.isfinite(s2):
-        raise InvalidInputError(f"s2 must be finite, got {s2!r}")
+    s2 = _check_real(s2, "s2")
     b2 = endpoint(d, r)
     if s2 < -DOMAIN_SLACK or s2 > b2 * (1 + DOMAIN_SLACK) + DOMAIN_SLACK:
         raise InvalidInputError(
             f"s2={s2} outside [0, {b2}], the S2 range reachable at "
             f"Schmidt number {r} in dimension {d}")
-    x = min(max(float(s2), 0.0), b2)
+    x = min(max(s2, 0.0), b2)
     return _piece_value(d, b2, x)
 
 
@@ -148,9 +147,10 @@ def numeric_min_oracle(d, r, s2):
     curve without sharing any of its algebra.
     """
     d, r = _check_dr(d, r)
-    if not np.isfinite(s2) or s2 < -DOMAIN_SLACK:
+    s2 = _check_real(s2, "s2")
+    if s2 < -DOMAIN_SLACK:
         raise InvalidInputError(f"s2 must be a nonnegative number, got {s2!r}")
-    s2 = max(float(s2), 0.0)
+    s2 = max(s2, 0.0)
     a_con = r - 1 / d
     b_con = (d - 1) ** 2 * s2 / (d * d)
     if b_con > a_con * a_con * (1 + DOMAIN_SLACK) + DOMAIN_SLACK:
@@ -200,16 +200,17 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
     two estimates, so correlated errors are not double counted.
     """
     d = _check_int(d, "d", 2)
+    s2, s4 = _check_real(s2, "s2"), _check_real(s4, "s4")
     for name, val in (("s2", s2), ("s4", s4)):
-        if not np.isfinite(val) or val < -DOMAIN_SLACK:
+        if val < -DOMAIN_SLACK:
             raise InvalidInputError(
                 f"{name} must be a nonnegative number, got {val!r}")
-    for name, val in (("std_s2", std_s2), ("std_s4", std_s4),
-                      ("cov_s2s4", cov_s2s4), ("k_sigma", k_sigma)):
-        if val is not None and not np.isfinite(val):
-            raise InvalidInputError(f"{name} must be finite, got {val!r}")
-    s2 = max(float(s2), 0.0)
-    s4 = max(float(s4), 0.0)
+    std_s2, std_s4 = (v if v is None else _check_real(v, n)
+                      for n, v in (("std_s2", std_s2), ("std_s4", std_s4)))
+    cov_s2s4 = _check_real(cov_s2s4, "cov_s2s4")
+    k_sigma = _check_real(k_sigma, "k_sigma")
+    s2 = max(s2, 0.0)
+    s4 = max(s4, 0.0)
     conservative = std_s2 is not None or std_s4 is not None
     if conservative:
         if std_s2 is None or std_s4 is None:
@@ -252,7 +253,7 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         margin = max(decided["cap_margin"], decided["curve_margin"])
     details = {
         "mode": "conservative" if conservative else "exact",
-        "k_sigma": float(k_sigma),
+        "k_sigma": k_sigma,
         "per_r": per_r,
     }
     return SchmidtCertificate("moments", bound, margin, details)
@@ -276,9 +277,7 @@ def outer_boundary_d3(x, family=None):
     family the envelope value and the family that attains it are
     returned.
     """
-    if not np.isfinite(x):
-        raise InvalidInputError(f"x must be finite, got {x!r}")
-    x = float(x)
+    x = _check_real(x, "x")
     if family is not None:
         if family not in _D3_FAMILIES:
             raise InvalidInputError(

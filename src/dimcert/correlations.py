@@ -27,12 +27,9 @@ IMAG_TOL = 1e-9
 
 __all__ = [
     "CorrelationData",
-    "CovarianceBlock",
     "correlation_data",
     "trace_norm",
     "two_norm",
-    "operator_schmidt_values",
-    "covariance_block",
 ]
 
 
@@ -64,20 +61,6 @@ class CorrelationData:
     vector_b: np.ndarray
     epsilon: np.ndarray
     xi: np.ndarray
-
-
-@dataclass
-class CovarianceBlock:
-    """Mean-subtracted su correlation block and the local purities.
-
-    ``cross = su - vector_a vector_b^T`` is the covariance of local su
-    observables; the purities feed the right-hand side
-    ``sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))`` of the covariance criterion.
-    """
-
-    cross: np.ndarray
-    purity_a: float
-    purity_b: float
 
 
 @lru_cache(maxsize=None)
@@ -138,22 +121,3 @@ def trace_norm(matrix):
 def two_norm(matrix):
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(matrix)))
-
-
-def operator_schmidt_values(rho):
-    """Singular values of the full correlation matrix, descending."""
-    return correlation_data(rho).xi
-
-
-def covariance_block(rho_or_corr):
-    """Mean-subtracted su block with the marginal purities.
-
-    Accepts a state or its already computed CorrelationData; the marginal
-    purities follow from the local Bloch vectors, ``tr rho_a^2 = 1/d_a +
-    |v_a|^2``.
-    """
-    data = as_correlation_data(rho_or_corr)
-    cross = data.su - np.outer(data.vector_a, data.vector_b)
-    pa = 1 / data.dim_a + float(data.vector_a @ data.vector_a)
-    pb = 1 / data.dim_b + float(data.vector_b @ data.vector_b)
-    return CovarianceBlock(cross=cross, purity_a=pa, purity_b=pb)

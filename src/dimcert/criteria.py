@@ -1,21 +1,30 @@
 """Schmidt-number lower-bound certificates from exact density matrices.
 
-Each criterion bounds a quantity computable from the state for all states
-of Schmidt number <= r; a strict violation (beyond a 1e-9 margin) certifies
-a lower bound of r + 1 on the entanglement dimensionality. Implemented
-criteria:
+Every criterion has one shape. It takes a state (``DensityMatrix`` or
+``PureState``), or its ``CorrelationData`` where it reads only
+correlations, tests every r = 1..min(d_a, d_b), and returns a
+``SchmidtCertificate`` whose ``details["per_r"]`` holds one row per r. Each
+test holds for all states of Schmidt number <= r, so the largest violated
+r certifies a lower bound of r + 1 on the entanglement dimensionality,
+and its row gives the margin. A row ``lhs <= rhs`` is violated when lhs
+exceeds rhs by more than 1e-9:
 
-* ``trace_norm``: tr|X_su| - (r-1) <= sqrt((1-1/d_a)(1-1/d_b))
-* ``ccnr``: sum of operator Schmidt values xi <= r
-* ``two_norm``: ||X_su||_2^2 <= 1 + (r-2d)/(d^2 r), equal dimensions only
-* ``fidelity``: <t|rho|t> <= sum of the r largest Schmidt coefficients
-  of the target t
-* ``reduction_map``: rho_a (x) 1 - rho/r is positive semidefinite
-* ``covariance``: tr|X_su - v_a v_b^T| - (r-1) <=
-  sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))
+* ``sn_trace_norm`` (state or correlations):
+  tr|X_su| - (r-1) <= sqrt((1-1/d_a)(1-1/d_b))
+* ``sn_ccnr`` (state or correlations): sum of operator Schmidt values
+  xi <= r
+* ``sn_two_norm`` (state or correlations, equal dimensions only):
+  ||X_su||_2^2 <= 1 + (r-2d)/(d^2 r)
+* ``sn_fidelity`` (state and a pure target t): <t|rho|t> <= sum of the
+  r largest Schmidt coefficients of t
+* ``sn_covariance`` (state or correlations):
+  tr|X_su - v_a v_b^T| - (r-1) <= sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))
+* ``sn_reduction_map`` (state): rho_a (x) 1 - rho/r is positive
+  semidefinite; its rows hold the smallest eigenvalue, violated below
+  -1e-10
 
-``compare_all`` runs every criterion applicable to the state's dimensions
-and reports the best certified bound.
+``compare_all`` builds the correlation data once, runs every criterion
+applicable to the state's dimensions and reports the best certified bound.
 """
 
 from __future__ import annotations
@@ -25,14 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_int
-from .correlations import (
-    CovarianceBlock,
-    as_correlation_data,
-    correlation_data,
-    covariance_block,
-    trace_norm,
-)
+from .errors import InvalidInputError
+from .correlations import as_correlation_data, correlation_data, trace_norm
 from .states import (
     STRUCT_TOL,
     PureState,
@@ -133,91 +136,55 @@ def _jsonable(obj):
     return obj
 
 
-def _restrict(rows, r_test, dmin):
-    if r_test is None:
-        return rows
-    r_test = _check_int(r_test, "r_test", 1, dmin)
-    return [row for row in rows if row[0] == r_test]
+def _certificate(criterion_id, per_r, margin, **details):
+    """One certificate from one row per r = 1..min(d_a, d_b), in increasing r.
+
+    The largest violated r sets the bound, r + 1 capped at min(d_a, d_b),
+    and ``margin(row)`` of its row gives the margin.
+    """
+    top = next((row for row in reversed(per_r) if row["violated"]), None)
+    details = {"per_r": per_r, **details}
+    if top is None:
+        return SchmidtCertificate(criterion_id, 1, 0.0, details)
+    return SchmidtCertificate(criterion_id, min(top["r"] + 1, len(per_r)),
+                              margin(top), details)
 
 
-def _bound_from_tests(criterion_id, rows, dmin, extra=None):
-    """Largest violated r decides the bound; rows are (r, lhs, rhs) tuples."""
-    violated = [r for r, lhs, rhs in rows if lhs > rhs + VIOLATION_TOL]
-    bound = min(max(violated) + 1 if violated else 1, dmin)
-    if bound > 1:
-        r_star = bound - 1
-        lhs, rhs = next((l, t) for r, l, t in rows if r == r_star)
-        margin = lhs - rhs
-    else:
-        margin = 0.0
-    details = {
-        "per_r": [
-            {"r": r, "lhs": float(lhs), "rhs": float(rhs),
-             "violated": bool(lhs > rhs + VIOLATION_TOL)}
-            for r, lhs, rhs in rows
-        ],
-    }
-    if extra:
-        details.update(extra)
-    return SchmidtCertificate(criterion_id, bound, margin, details)
+def _threshold(criterion_id, pairs, **details):
+    """Certificate from (lhs, rhs) per r, violated when lhs > rhs + 1e-9."""
+    per_r = [{"r": r, "lhs": float(lhs), "rhs": float(rhs),
+              "violated": bool(lhs > rhs + VIOLATION_TOL)}
+             for r, (lhs, rhs) in enumerate(pairs, 1)]
+    return _certificate(criterion_id, per_r,
+                        lambda row: row["lhs"] - row["rhs"], **details)
 
 
 def sn_trace_norm(state_or_corr):
     """Trace-norm criterion on the su correlation block."""
     corr = as_correlation_data(state_or_corr)
-    dmin = min(corr.dim_a, corr.dim_b)
     tn = float(np.sum(corr.epsilon))
     rhs = math.sqrt((1 - 1 / corr.dim_a) * (1 - 1 / corr.dim_b))
-    rows = [(r, tn - (r - 1), rhs) for r in range(1, dmin + 1)]
-    return _bound_from_tests("trace_norm", rows, dmin,
-                             extra={"su_trace_norm": tn})
+    dmin = min(corr.dim_a, corr.dim_b)
+    return _threshold("trace_norm",
+                      [(tn - (r - 1), rhs) for r in range(1, dmin + 1)],
+                      su_trace_norm=tn)
 
 
-def sn_ccnr(state_or_xi):
+def sn_ccnr(state_or_corr):
     """Realignment-style criterion: the operator Schmidt values sum.
 
-    Accepts a state, a CorrelationData, or the sorted operator Schmidt
-    values themselves. The certified bound is the ceiling of the sum,
-    computed with a 1e-9 slack so sums within 1e-9 above an integer
-    round down, clamped to [1, min(d_a, d_b)].
+    The bound is the ceiling of the sum less 1e-9, so sums within 1e-9
+    above an integer round down, clamped to [1, min(d_a, d_b)].
     """
-    if isinstance(state_or_xi, (np.ndarray, list, tuple)):
-        xi = np.asarray(state_or_xi, dtype=float)
-        if xi.ndim != 1 or xi.size == 0 or np.any(xi < -VIOLATION_TOL):
-            raise InvalidInputError(
-                "operator Schmidt values must be a nonempty array of "
-                "nonnegative numbers")
-        # the value count is min(d_a, d_b)^2 for the square correlation
-        # matrix convention used throughout
-        dmin = math.isqrt(xi.size)
-        if dmin * dmin != xi.size:
-            raise InvalidInputError(
-                f"cannot infer dimensions from {xi.size} operator Schmidt "
-                "values (expected a perfect square)")
-    else:
-        corr = as_correlation_data(state_or_xi)
-        xi = corr.xi
-        dmin = min(corr.dim_a, corr.dim_b)
-    s = float(np.sum(xi))
-    bound = min(max(math.ceil(s - VIOLATION_TOL), 1), dmin)
-    margin = s - (bound - 1) if bound > 1 else 0.0
-    details = {
-        "xi_sum": s,
-        "per_r": [
-            {"r": r, "lhs": s, "rhs": float(r),
-             "violated": bool(s > r + VIOLATION_TOL)}
-            for r in range(1, dmin + 1)
-        ],
-    }
-    return SchmidtCertificate("ccnr", bound, margin, details)
+    corr = as_correlation_data(state_or_corr)
+    s = float(np.sum(corr.xi))
+    dmin = min(corr.dim_a, corr.dim_b)
+    return _threshold("ccnr", [(s, r) for r in range(1, dmin + 1)],
+                      xi_sum=s)
 
 
-def sn_two_norm(state_or_corr, r_test=None):
-    """Squared Hilbert-Schmidt norm criterion; equal local dimensions only.
-
-    With ``r_test`` the certificate reports on that single r; otherwise
-    the largest violated r sets the bound.
-    """
+def sn_two_norm(state_or_corr):
+    """Squared Hilbert-Schmidt norm criterion; equal local dimensions only."""
     corr = as_correlation_data(state_or_corr)
     if corr.dim_a != corr.dim_b:
         raise InvalidInputError(
@@ -225,13 +192,13 @@ def sn_two_norm(state_or_corr, r_test=None):
             f"dimensions, got {corr.dim_a} x {corr.dim_b}")
     d = corr.dim_a
     lhs = float(np.sum(corr.epsilon ** 2))
-    rows = [(r, lhs, 1 + (r - 2 * d) / (d * d * r)) for r in range(1, d + 1)]
-    rows = _restrict(rows, r_test, d)
-    return _bound_from_tests("two_norm", rows, d,
-                             extra={"su_two_norm_sq": lhs})
+    return _threshold(
+        "two_norm",
+        [(lhs, 1 + (r - 2 * d) / (d * d * r)) for r in range(1, d + 1)],
+        su_two_norm_sq=lhs)
 
 
-def sn_fidelity(rho, target, r_test=None, label=None):
+def sn_fidelity(rho, target, label=None):
     """Fidelity witness against one pure target state.
 
     For every Schmidt-number-r state, the overlap with the target is at
@@ -245,82 +212,51 @@ def sn_fidelity(rho, target, r_test=None, label=None):
         raise InvalidInputError(
             f"target dimensions {target.dim_a} x {target.dim_b} do not match "
             f"state dimensions {rho.dim_a} x {rho.dim_b}")
-    dmin = min(rho.dim_a, rho.dim_b)
     lam = schmidt_coefficients(target)
     fid = float(np.real(target.amplitudes.conj() @ rho.matrix @ target.amplitudes))
-    cums = np.cumsum(lam)
-    rows = [(r, fid, float(cums[r - 1])) for r in range(1, dmin + 1)]
-    rows = _restrict(rows, r_test, dmin)
     extra = {"fidelity": fid,
              "target_schmidt_coefficients": [float(v) for v in lam]}
     if label is not None:
         extra["target"] = label
-    return _bound_from_tests("fidelity", rows, dmin, extra=extra)
+    # one Schmidt coefficient per r = 1..min(d_a, d_b)
+    return _threshold("fidelity", [(fid, c) for c in np.cumsum(lam).tolist()],
+                      **extra)
 
 
-def _reduction_rows(rho, rs):
-    """Smallest eigenvalue of rho_a (x) 1 - rho/r for each r in rs.
-
-    One partial trace and one Kronecker product serve every r; the
-    operators are diagonalised in one stacked call.
-    """
-    base = np.kron(partial_trace(rho, "a"), np.eye(rho.dim_b))
-    ops = base - rho.matrix / np.asarray(rs)[:, None, None]
-    eig_min = np.linalg.eigvalsh(ops)[:, 0]
-    return [{"r": int(r), "min_eigenvalue": float(e),
-             "violated": bool(e < -STRUCT_TOL)}
-            for r, e in zip(rs, eig_min)]
-
-
-def _reduction_certificate(rows, dmin, details):
-    """The largest violated r (rows run in increasing r) sets bound and margin."""
-    violated = [row for row in rows if row["violated"]]
-    if not violated:
-        return SchmidtCertificate("reduction_map", 1, 0.0, details)
-    top = violated[-1]
-    return SchmidtCertificate("reduction_map", min(top["r"] + 1, dmin),
-                              -top["min_eigenvalue"], details)
-
-
-def sn_reduction_map(rho, r):
+def sn_reduction_map(rho):
     """Positivity of rho_a (x) 1 - rho/r, violated only above Schmidt number r.
 
-    Returns
-    -------
-    (violated, SchmidtCertificate)
-        ``violated`` is True when the smallest eigenvalue drops below
-        -1e-10, certifying bound r + 1.
+    r is violated when the smallest eigenvalue drops below -1e-10; the
+    margin is minus that eigenvalue. One partial trace and one Kronecker
+    product serve every r, and the operators are diagonalised in one
+    stacked call.
     """
     rho = as_density(rho)
-    row, = _reduction_rows(rho, [_check_int(r, "r")])
-    dmin = min(rho.dim_a, rho.dim_b)
-    return row["violated"], _reduction_certificate([row], dmin, row)
+    rs = np.arange(1, min(rho.dim_a, rho.dim_b) + 1)
+    base = np.kron(partial_trace(rho, "a"), np.eye(rho.dim_b))
+    eig_min = np.linalg.eigvalsh(base - rho.matrix / rs[:, None, None])[:, 0]
+    per_r = [{"r": int(r), "min_eigenvalue": float(e),
+              "violated": bool(e < -STRUCT_TOL)}
+             for r, e in zip(rs, eig_min)]
+    return _certificate("reduction_map", per_r,
+                        lambda row: -row["min_eigenvalue"])
 
 
-def _reduction_scan(rho):
-    """Reduction-map certificate over all r, for compare_all."""
-    dmin = min(rho.dim_a, rho.dim_b)
-    rows = _reduction_rows(rho, range(1, dmin + 1))
-    return _reduction_certificate(rows, dmin, {"per_r": rows})
+def sn_covariance(state_or_corr):
+    """Mean-subtracted variant of the trace-norm criterion.
 
-
-def sn_covariance(state_or_block):
-    """Mean-subtracted variant of the trace-norm criterion."""
-    if isinstance(state_or_block, CovarianceBlock):
-        block = state_or_block
-    else:
-        block = covariance_block(state_or_block)
-    # the cross block is (d_a^2 - 1) x (d_b^2 - 1)
-    da = math.isqrt(block.cross.shape[0] + 1)
-    db = math.isqrt(block.cross.shape[1] + 1)
-    dmin = min(da, db)
-    tn = trace_norm(block.cross)
-    rhs = math.sqrt(max(1 - block.purity_a, 0.0) * max(1 - block.purity_b, 0.0))
-    rows = [(r, tn - (r - 1), rhs) for r in range(1, dmin + 1)]
-    return _bound_from_tests(
-        "covariance", rows, dmin,
-        extra={"cross_trace_norm": tn,
-               "purity_a": block.purity_a, "purity_b": block.purity_b})
+    The cross block ``su - v_a v_b^T`` and the marginal purities
+    ``1/d + |v|^2`` come straight from the correlation data.
+    """
+    corr = as_correlation_data(state_or_corr)
+    tn = trace_norm(corr.su - np.outer(corr.vector_a, corr.vector_b))
+    pa = 1 / corr.dim_a + float(corr.vector_a @ corr.vector_a)
+    pb = 1 / corr.dim_b + float(corr.vector_b @ corr.vector_b)
+    rhs = math.sqrt(max(1 - pa, 0.0) * max(1 - pb, 0.0))
+    dmin = min(corr.dim_a, corr.dim_b)
+    return _threshold("covariance",
+                      [(tn - (r - 1), rhs) for r in range(1, dmin + 1)],
+                      cross_trace_norm=tn, purity_a=pa, purity_b=pb)
 
 
 def _fidelity_targets(rho):
@@ -356,8 +292,6 @@ def compare_all(rho):
     fid_certs = [sn_fidelity(rho, t, label=lbl) for t, lbl in targets]
     best_fid = max(fid_certs, key=lambda c: (c.certified_lower_bound, c.margin))
     best_fid.details["targets_tested"] = [lbl for _, lbl in targets]
-    certs.append(best_fid)
-    certs.append(_reduction_scan(rho))
-    certs.append(sn_covariance(covariance_block(corr)))
+    certs += [best_fid, sn_reduction_map(rho), sn_covariance(corr)]
     best = max(c.certified_lower_bound for c in certs)
     return CertificateReport(rho.dim_a, rho.dim_b, certs, best)

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the integer check.
+"""Exception types shared across the package, and the integer and real checks.
 
 Two categories matter to callers (and to the CLI exit codes): bad input
 versus a numerical result that violates an internal consistency guarantee.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -34,3 +37,20 @@ def _check_int(value, name, lo=1, hi=None):
         return int(value)
     rule = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
     raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_real(value, name):
+    """``value`` as a float if it is a finite real number, else InvalidInputError.
+
+    Strings, None and bool are not numbers here; an int too large for a
+    float is not finite.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise InvalidInputError(
+        f"{name} must be a finite real number, got {value!r}")

@@ -34,7 +34,6 @@ CONE_TOL = 1e-9
 __all__ = [
     "CONE_TOL",
     "MomentPair",
-    "ObservableM",
     "exact_moments",
     "moments_from_spectrum",
     "observable_m",
@@ -100,25 +99,14 @@ def scaling_constants(d, path):
     return float(c2), float(c4)
 
 
-@dataclass(frozen=True)
-class ObservableM:
-    """The moment-probing observable, stored through its spectrum.
-
-    Only Haar rotations U M U^dag of it are ever measured, so its
-    eigenvalues are all there is to store.
-    """
-
-    dim: int
-    eigenvalues: np.ndarray
-
-
 def observable_m(d):
-    """Spectrum of the probing observable; exists only for odd d >= 3.
+    """Spectrum of the probing observable M as a read-only array; odd d >= 3.
 
-    The eigenvalues are (d-1)/2 copies of alpha_plus, one beta and
-    (d-1)/2 copies of alpha_minus, built from the positive root y of a
-    quartic trace condition. tr M = 0 and tr M^2 = d hold by construction
-    and are re-checked to 1e-10.
+    Only Haar rotations U M U^dag are ever measured, so the eigenvalues
+    are all there is to store. They are (d-1)/2 copies of alpha_plus, one
+    beta and (d-1)/2 copies of alpha_minus, built from the positive root y
+    of a quartic trace condition. tr M = 0 and tr M^2 = d hold by
+    construction and are re-checked to 1e-10.
     """
     d = _check_int(d, "odd d", 3)
     if d % 2 == 0:
@@ -137,4 +125,4 @@ def observable_m(d):
         raise NumericalConsistencyError(
             "probing observable failed its trace normalisation checks")
     eigs.flags.writeable = False
-    return ObservableM(d, eigs)
+    return eigs

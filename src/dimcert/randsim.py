@@ -25,7 +25,6 @@ thread pool.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InvalidInputError, _check_int
+from .errors import InvalidInputError, _check_int, _check_real
 from .boundary import classify_point
 from .correlations import _basis_matrix, correlation_data
 from .moments import exact_moments, observable_m, scaling_constants
@@ -121,7 +120,7 @@ def _local_vectors(d, m_eigs, m, rng):
 def _sample_x(rho, n_tot, seed, path, workers, namespace):
     d = rho.dim_a
     if path == "haar":
-        m_eigs = observable_m(d).eigenvalues
+        m_eigs = observable_m(d)
     elif path == "bloch":
         m_eigs = None
     else:
@@ -277,8 +276,8 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     reported bound above 1 is wrong with probability roughly the
     one-sided Gaussian tail at k_sigma.
     """
-    if (not isinstance(k_sigma, numbers.Real) or not np.isfinite(k_sigma)
-            or k_sigma < 0):
+    k_sigma = _check_real(k_sigma, "k_sigma")
+    if k_sigma < 0:
         raise InvalidInputError(
             f"k_sigma must be a nonnegative number, got {k_sigma!r}")
     rho = as_density(rho, equal_dims_for=_SAMPLING)
@@ -287,9 +286,8 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     cert = classify_point(
         est.s2, est.s4, rho.dim_a,
         std_s2=est.std_s2, std_s4=est.std_s4, cov_s2s4=est.cov_s2s4,
-        k_sigma=float(k_sigma))
-    return DetectionResult(certificate=cert, estimate=est,
-                           k_sigma=float(k_sigma))
+        k_sigma=k_sigma)
+    return DetectionResult(certificate=cert, estimate=est, k_sigma=k_sigma)
 
 
 def analytic_noise_threshold(d, target_bound):

@@ -21,12 +21,12 @@ Conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_int
+from .errors import InvalidInputError, _check_int, _check_real
 
 STRUCT_TOL = 1e-10
 DERIVED_TOL = 1e-9
@@ -34,10 +34,8 @@ DERIVED_TOL = 1e-9
 __all__ = [
     "STRUCT_TOL",
     "DERIVED_TOL",
-    "SuBasis",
     "DensityMatrix",
     "PureState",
-    "gell_mann_basis",
     "extended_basis",
     "partial_trace",
     "purity",
@@ -64,74 +62,35 @@ def as_rng(seed):
 # operator basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuBasis:
-    """Orthonormal traceless Hermitian generator set for one qudit.
-
-    Attributes
-    ----------
-    dim : int
-        Local dimension d.
-    generators : ndarray, shape (d*d - 1, d, d)
-        Generators ordered symmetric, antisymmetric, diagonal; normalized
-        so that ``tr(g_i g_j) = delta_ij``.
-    """
-
-    dim: int
-    generators: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _gell_mann_cached(d):
-    gens = np.zeros((d * d - 1, d, d), dtype=np.complex128)
-    idx = 0
-    for j in range(d):
-        for k in range(j + 1, d):
-            gens[idx, j, k] = 1 / np.sqrt(2)
-            gens[idx, k, j] = 1 / np.sqrt(2)
-            idx += 1
-    for j in range(d):
-        for k in range(j + 1, d):
-            gens[idx, j, k] = -1j / np.sqrt(2)
-            gens[idx, k, j] = 1j / np.sqrt(2)
-            idx += 1
-    for l in range(1, d):
-        coeff = 1 / np.sqrt(l * (l + 1))
-        for j in range(l):
-            gens[idx, j, j] = coeff
-        gens[idx, l, l] = -l * coeff
-        idx += 1
-    gens.setflags(write=False)
-    return gens
-
-
-def gell_mann_basis(d):
-    """Generalized Gell-Mann basis of su(d), unit Hilbert-Schmidt norm.
-
-    Parameters
-    ----------
-    d : int
-        Local dimension, >= 2.
-
-    Returns
-    -------
-    SuBasis
-    """
-    d = _check_int(d, "dimension", 2)
-    return SuBasis(dim=d, generators=_gell_mann_cached(d))
-
-
 @lru_cache(maxsize=None)
 def extended_basis(d):
-    """Full orthonormal operator basis: identity/sqrt(d) plus su(d).
+    """Full orthonormal operator basis of one qudit, shape (d*d, d, d).
 
-    Index 0 is the normalized identity; indices 1..d^2-1 follow the
-    ``gell_mann_basis`` order. Shape (d*d, d, d), read-only.
+    Index 0 is the normalized identity; indices 1..d^2-1 are the
+    generalized Gell-Mann generators of su(d), ordered symmetric,
+    antisymmetric, diagonal and normalized so that ``tr(g_i g_j) =
+    delta_ij``. Read-only.
     """
     d = _check_int(d, "dimension", 2)
     full = np.zeros((d * d, d, d), dtype=np.complex128)
     full[0] = np.eye(d) / np.sqrt(d)
-    full[1:] = _gell_mann_cached(d)
+    idx = 1
+    for j in range(d):
+        for k in range(j + 1, d):
+            full[idx, j, k] = 1 / np.sqrt(2)
+            full[idx, k, j] = 1 / np.sqrt(2)
+            idx += 1
+    for j in range(d):
+        for k in range(j + 1, d):
+            full[idx, j, k] = -1j / np.sqrt(2)
+            full[idx, k, j] = 1j / np.sqrt(2)
+            idx += 1
+    for l in range(1, d):
+        coeff = 1 / np.sqrt(l * (l + 1))
+        for j in range(l):
+            full[idx, j, j] = coeff
+        full[idx, l, l] = -l * coeff
+        idx += 1
     full.setflags(write=False)
     return full
 
@@ -310,6 +269,7 @@ def isotropic(d, p):
     fraction p in [0, 1].
     """
     d = _check_int(d, "dimension", 2)
+    p = _check_real(p, "noise fraction p")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"noise fraction p must lie in [0, 1], got {p}")
     pure = max_entangled(d).to_density().matrix
@@ -352,6 +312,7 @@ def family_state(family, param):
     """
     d = 3
     fam = str(family).upper()
+    param = _check_real(param, "family parameter")
     if fam == "A":
         if not 0.0 <= param <= 1.0:
             raise InvalidInputError(f"family A parameter must lie in [0, 1], got {param}")

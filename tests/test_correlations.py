@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from dimcert.correlations import (
-    correlation_data,
-    covariance_block,
-    operator_schmidt_values,
-    trace_norm,
-    two_norm,
-)
+from dimcert.correlations import correlation_data, trace_norm, two_norm
+from dimcert.criteria import sn_covariance
 from dimcert.errors import InvalidInputError
 from dimcert.states import (
     DensityMatrix,
@@ -83,7 +78,7 @@ def test_pure_state_operator_schmidt_values_are_pair_products():
     psi = random_pure(3, 3, seed=13)
     lam = schmidt_coefficients(psi)
     expect = np.sort(np.sqrt(np.outer(lam, lam)).ravel())[::-1]
-    xi = operator_schmidt_values(psi.to_density())
+    xi = correlation_data(psi.to_density()).xi
     assert np.allclose(np.sort(xi)[::-1], expect, atol=1e-9)
     # consequently the xi sum is the squared sum of root Schmidt coefficients
     assert abs(np.sum(xi) - np.sum(np.sqrt(lam)) ** 2) < 1e-9
@@ -106,12 +101,11 @@ def test_product_state_has_rank_one_su_block():
 
 
 def test_local_vectors_are_marginal_bloch_components():
-    from dimcert.states import gell_mann_basis, partial_trace
     rho = random_mixed(3, 3, 5, seed=21)
     c = correlation_data(rho)
     ra = partial_trace(rho, "a")
     rb = partial_trace(rho, "b")
-    gens = gell_mann_basis(3).generators
+    gens = extended_basis(3)[1:]
     va = np.array([np.trace(ra @ g).real for g in gens])
     vb = np.array([np.trace(rb @ g).real for g in gens])
     assert np.allclose(c.vector_a, va, atol=1e-9)
@@ -127,27 +121,29 @@ def test_covariance_cross_vanishes_for_product_states():
     rb = z @ z.conj().T
     rb /= np.trace(rb).real
     rho = DensityMatrix(3, 3, np.kron(ra, rb))
-    block = covariance_block(rho)
-    assert np.max(np.abs(block.cross)) < 1e-9
+    details = sn_covariance(rho).details
+    assert details["cross_trace_norm"] < 1e-9
 
 
 def test_covariance_block_from_state_or_correlation_data():
     for rho in _zoo():
-        block = covariance_block(correlation_data(rho))
-        again = covariance_block(rho)
-        assert np.array_equal(block.cross, again.cross)
-        assert abs(block.purity_a - purity(partial_trace(rho, "a"))) < 1e-12
-        assert abs(block.purity_b - purity(partial_trace(rho, "b"))) < 1e-12
+        details = sn_covariance(correlation_data(rho)).details
+        assert details == sn_covariance(rho).details
+        assert abs(details["purity_a"]
+                   - purity(partial_trace(rho, "a"))) < 1e-12
+        assert abs(details["purity_b"]
+                   - purity(partial_trace(rho, "b"))) < 1e-12
 
 
 def test_covariance_block_on_max_entangled_equals_su_block():
     # maximally mixed marginals make the subtracted outer product vanish
     rho = max_entangled(3).to_density()
-    block = covariance_block(rho)
+    details = sn_covariance(rho).details
     c = correlation_data(rho)
-    assert np.allclose(block.cross, c.su, atol=1e-12)
-    assert abs(trace_norm(block.cross) - 8 / 3) < 1e-9
-    assert abs(block.purity_a - 1 / 3) < 1e-12
+    assert abs(details["cross_trace_norm"] - trace_norm(c.su)) < 1e-12
+    assert abs(details["cross_trace_norm"] - 8 / 3) < 1e-9
+    assert abs(details["purity_a"] - 1 / 3) < 1e-12
+    assert abs(details["purity_b"] - 1 / 3) < 1e-12
 
 
 def test_norm_helpers():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dimcert.correlations import correlation_data
+from dimcert.correlations import CorrelationData, correlation_data
 from dimcert.criteria import (
     SchmidtCertificate,
+    _fidelity_targets,
     compare_all,
     sn_ccnr,
     sn_covariance,
@@ -85,14 +86,23 @@ def test_ccnr_fixtures():
 def test_ccnr_boundary_rounding_is_conservative():
     # a sum within 1e-9 above an integer must not certify the next bound
     xi = np.array([1.0, 0.5, 0.5 + 5e-10, 0.0])
-    assert sn_ccnr(xi).certified_lower_bound == 2
+    corr = CorrelationData(
+        dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
+        vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
+        xi=xi)
+    cert = sn_ccnr(corr)
+    assert cert.certified_lower_bound == 2
+    assert [row["violated"] for row in cert.details["per_r"]] == [True, False]
 
 
 def test_ccnr_rejects_malformed_value_arrays():
+    # only a state or its correlation data is accepted, never raw values
     with pytest.raises(InvalidInputError):
         sn_ccnr(np.array([0.5, -0.2, 0.1, 0.0]))
     with pytest.raises(InvalidInputError):
         sn_ccnr(np.array([1.0, 0.5, 0.5]))
+    with pytest.raises(InvalidInputError):
+        sn_ccnr(np.array([1.0, 0.5, 0.5, 0.0]))
 
 
 # --- two norm -------------------------------------------------------------
@@ -117,12 +127,11 @@ def test_two_norm_never_beats_trace_norm():
                 >= sn_two_norm(rho).certified_lower_bound)
 
 
-def test_two_norm_r_test_restricts():
-    rho = max_entangled(3).to_density()
-    assert sn_two_norm(rho, r_test=2).certified_lower_bound == 3
-    assert sn_two_norm(rho, r_test=3).certified_lower_bound == 1
-    with pytest.raises(InvalidInputError):
-        sn_two_norm(rho, r_test=4)
+def test_two_norm_per_r_rows():
+    per_r = sn_two_norm(max_entangled(3).to_density()).details["per_r"]
+    assert len(per_r) == 3
+    assert per_r[2 - 1]["violated"]
+    assert not per_r[3 - 1]["violated"]
 
 
 # --- fidelity -------------------------------------------------------------
@@ -157,17 +166,13 @@ def test_fidelity_dimension_mismatch():
 # --- reduction map --------------------------------------------------------
 
 def test_reduction_map_fixtures():
-    violated, cert = sn_reduction_map(isotropic(3, 0.0), 2)
-    assert violated and cert.certified_lower_bound == 3
-    violated, _ = sn_reduction_map(random_mixed(3, 3, 6, seed=5), 3)
-    assert not violated
-    violated, _ = sn_reduction_map(_product_pure(3).to_density(), 1)
-    assert not violated
-
-
-def test_reduction_map_invalid_r():
-    with pytest.raises(InvalidInputError):
-        sn_reduction_map(_max_mixed(3), 0)
+    cert = sn_reduction_map(isotropic(3, 0.0))
+    assert cert.details["per_r"][2 - 1]["violated"]
+    assert cert.certified_lower_bound == 3
+    cert = sn_reduction_map(random_mixed(3, 3, 6, seed=5))
+    assert not cert.details["per_r"][3 - 1]["violated"]
+    cert = sn_reduction_map(_product_pure(3).to_density())
+    assert not cert.details["per_r"][1 - 1]["violated"]
 
 
 # --- covariance -----------------------------------------------------------
@@ -237,15 +242,13 @@ def test_local_unitary_invariance_of_certificates():
         u, v = haar_unitary(d, rng), haar_unitary(d, rng)
         w = np.kron(u, v)
         rotated = DensityMatrix(d, d, w @ rho.matrix @ w.conj().T)
-        for fn in (sn_trace_norm, sn_ccnr, sn_two_norm, sn_covariance):
+        for fn in (sn_trace_norm, sn_ccnr, sn_two_norm, sn_covariance,
+                   sn_reduction_map):
             c0, c1 = fn(rho), fn(rotated)
             assert c0.certified_lower_bound == c1.certified_lower_bound
             assert abs(c0.margin - c1.margin) < 1e-9
-        for r in range(1, d):
-            v0, c0 = sn_reduction_map(rho, r)
-            v1, c1 = sn_reduction_map(rotated, r)
-            assert v0 == v1
-            assert abs(c0.margin - c1.margin) < 1e-9
+            assert ([row["violated"] for row in c0.details["per_r"]]
+                    == [row["violated"] for row in c1.details["per_r"]])
 
 
 def test_compare_all_report_fixtures():
@@ -263,18 +266,43 @@ def test_compare_all_equals_standalone_criteria():
     for rho in _zoo():
         report = compare_all(rho)
         by_id = {c.criterion_id: c for c in report.certificates}
-        parts = [sn_trace_norm(rho), sn_ccnr(rho), sn_covariance(rho)]
+        parts = [sn_trace_norm(rho), sn_ccnr(rho), sn_covariance(rho),
+                 sn_reduction_map(rho)]
         if rho.dim_a == rho.dim_b:
             parts.append(sn_two_norm(rho))
+        assert len(report.certificates) == len(parts) + 1
         for part in parts:
-            whole = by_id[part.criterion_id]
-            assert whole.certified_lower_bound == part.certified_lower_bound
-            assert abs(whole.margin - part.margin) < 1e-12
-        per_r = by_id["reduction_map"].details["per_r"]
-        assert [row["r"] for row in per_r] == list(
-            range(1, min(rho.dim_a, rho.dim_b) + 1))
-        for row in per_r:
-            assert row == sn_reduction_map(rho, row["r"])[1].details
+            assert by_id[part.criterion_id].to_dict() == part.to_dict()
+        # the fidelity entry is the best target's certificate, in full
+        targets = _fidelity_targets(rho)
+        labels = [label for _, label in targets]
+        fid = by_id["fidelity"]
+        assert fid.details["targets_tested"] == labels
+        for target, label in targets:
+            part = sn_fidelity(rho, target, label=label)
+            assert ((part.certified_lower_bound, part.margin)
+                    <= (fid.certified_lower_bound, fid.margin))
+            if label == fid.details["target"]:
+                part.details["targets_tested"] = labels
+                assert part.to_dict() == fid.to_dict()
+
+
+@pytest.mark.parametrize("fn", [
+    sn_trace_norm, sn_ccnr, sn_two_norm, sn_covariance, sn_reduction_map,
+], ids=lambda fn: fn.__name__)
+def test_criteria_take_a_state_or_its_correlation_data(fn):
+    psi = random_pure(3, 3, seed=4, schmidt_rank=2)
+    inputs = [psi, psi.to_density()]
+    if fn is sn_reduction_map:
+        # the reduction map needs the density matrix itself
+        with pytest.raises(InvalidInputError):
+            fn(correlation_data(psi))
+    else:
+        inputs.append(correlation_data(psi))
+    certs = [fn(x).to_dict() for x in inputs]
+    assert [row["r"] for row in certs[0]["details"]["per_r"]] == [1, 2, 3]
+    assert certs[0]["certified_lower_bound"] == 2
+    assert all(cert == certs[0] for cert in certs)
 
 
 def test_compare_all_builds_correlation_data_once(monkeypatch):

@@ -115,14 +115,15 @@ def test_scaling_constants_fixtures():
 
 
 def test_observable_m_qutrit_spectrum():
-    obs = observable_m(3)
+    eigs = observable_m(3)
     expect = np.array([1.14813856, -1.28914507, 0.14100650])
-    assert np.allclose(np.sort(obs.eigenvalues), np.sort(expect), atol=1e-7)
+    assert np.allclose(np.sort(eigs), np.sort(expect), atol=1e-7)
+    assert not eigs.flags.writeable
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_observable_m_trace_conditions(d):
-    eigs = observable_m(d).eigenvalues
+    eigs = observable_m(d)
     assert len(eigs) == d
     assert abs(np.sum(eigs)) < 1e-10
     assert abs(np.sum(eigs ** 2) - d) < 1e-10

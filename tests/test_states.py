@@ -11,7 +11,6 @@ from dimcert.states import (
     PureState,
     extended_basis,
     family_state,
-    gell_mann_basis,
     isotropic,
     max_entangled,
     partial_trace,
@@ -27,7 +26,7 @@ from dimcert.states import (
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gell_mann_orthonormal_hermitian_traceless(d):
-    gens = gell_mann_basis(d).generators
+    gens = extended_basis(d)[1:]
     assert gens.shape == (d * d - 1, d, d)
     for i in range(len(gens)):
         assert np.allclose(gens[i], gens[i].conj().T, atol=1e-12)
@@ -42,7 +41,8 @@ def test_extended_basis_prepends_identity(d):
     ext = extended_basis(d)
     assert ext.shape == (d * d, d, d)
     assert np.allclose(ext[0], np.eye(d) / np.sqrt(d))
-    assert np.allclose(ext[1:], gell_mann_basis(d).generators)
+    gram = np.einsum("kij,lji->kl", ext, ext)
+    assert np.allclose(gram, np.eye(d * d), atol=1e-12)
 
 
 def test_density_matrix_rejects_bad_shape():
