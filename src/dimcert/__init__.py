@@ -34,7 +34,6 @@ from .correlations import (
     CorrelationData,
     correlation_data,
     trace_norm,
-    two_norm,
 )
 from .criteria import (
     CertificateReport,
@@ -86,7 +85,7 @@ __all__ = [
     "max_entangled", "partial_trace", "purity", "random_mixed",
     "random_pure", "read_state_json", "rho_w", "schmidt_coefficients",
     "write_state_json",
-    "CorrelationData", "correlation_data", "trace_norm", "two_norm",
+    "CorrelationData", "correlation_data", "trace_norm",
     "CertificateReport", "SchmidtCertificate", "compare_all",
     "sn_ccnr", "sn_covariance", "sn_fidelity", "sn_reduction_map",
     "sn_trace_norm", "sn_two_norm",

@@ -6,7 +6,10 @@ a piecewise curve f_{d,r} obtained by minimising sum eps_k^4 at fixed
 sum eps_k^2 over admissible correlation spectra. The minimiser puts the
 weight on n equal singular values plus at most one smaller one, which
 gives one quadratic piece near the origin and a family of quartic pieces
-up to the right endpoint B_r^2 with B_r = (d r - 1)/(d - 1).
+up to the right endpoint B_r^2 with B_r = (d r - 1)/(d - 1). One scalar
+kernel returns the value of f and its closed-form slope. f is continuous
+but has a kink at every breakpoint between pieces, where the two
+one-sided slopes differ.
 
 A measured (S2, S4) point below the curve for r, or to the right of its
 endpoint, is unreachable by Schmidt number r and certifies a lower bound
@@ -63,25 +66,31 @@ def lower_boundary(d, r, s2):
     innermost quadratic piece covers [0, B_r^2/(d^2-1)].
     """
     d, r = _check_dr(d, r)
-    s2 = _check_real(s2, "s2")
     b2 = endpoint(d, r)
+    return _curve(d, b2, _check_s2(d, r, b2, s2))[0]
+
+
+def _check_s2(d, r, b2, s2):
+    """``s2`` clamped into [0, b2], or InvalidInputError outside it."""
+    s2 = _check_real(s2, "s2")
     if s2 < -DOMAIN_SLACK or s2 > b2 * (1 + DOMAIN_SLACK) + DOMAIN_SLACK:
         raise InvalidInputError(
             f"s2={s2} outside [0, {b2}], the S2 range reachable at "
             f"Schmidt number {r} in dimension {d}")
-    x = min(max(s2, 0.0), b2)
-    return _piece_value(d, b2, x)
+    return min(max(s2, 0.0), b2)
 
 
-def _piece_value(d, b2, x):
-    n_max = d * d - 2
+def _curve(d, b2, x):
+    """Value and slope of f_{d,r} at 0 <= x <= b2 = B_r^2.
+
+    f is continuous but has a kink at every breakpoint between pieces:
+    the one-sided slopes there differ. At a breakpoint the slope is that
+    of the piece the value is taken from.
+    """
     if x * (d * d - 1) <= b2 * (1 + DOMAIN_SLACK):
-        return (d * d + 1) / (3 * (d * d - 1)) * x * x
-    n = min(n_max, max(1, int(b2 / x)))
-    return _quartic_piece(d, b2, n, x)
-
-
-def _quartic_piece(d, b2, n, x):
+        c = (d * d + 1) / (3 * (d * d - 1))
+        return c * x * x, 2 * c * x
+    n = min(d * d - 2, max(1, int(b2 / x)))
     b = math.sqrt(b2)
     g = n * (n + 1) * x - n * b2
     # at the lower edge of a piece g can dip to about -1e-12 in floating point
@@ -91,18 +100,14 @@ def _quartic_piece(d, b2, n, x):
                 f"s2={x} falls outside piece n={n} of the boundary curve")
         g = 0.0
     sq = math.sqrt(g)
-    quart = (sq - b) ** 4 + (sq + n * b) ** 4 / n ** 3
-    return 2 * quart / (3 * (n + 1) ** 4) + x * x / 3
-
-
-def _piece_slope(d, b2, x):
-    """d f / d s2 by a central difference; f is C1 across the pieces."""
-    h = 1e-6 * max(1.0, b2)
-    lo = max(0.0, x - h)
-    hi = min(b2, x + h)
-    if hi <= lo:
-        return 0.0
-    return (_piece_value(d, b2, hi) - _piece_value(d, b2, lo)) / (hi - lo)
+    # -lo and hi are the minimiser's small value and its n equal large
+    # values, scaled by (n + 1) d / (d - 1); the slope written through them
+    # cancels the 1/sq of d sq / dx against lo + hi = (n + 1) sq / n
+    lo, hi = sq - b, sq / n + b
+    quart = lo ** 4 + (sq + n * b) ** 4 / n ** 3
+    value = 2 * quart / (3 * (n + 1) ** 4) + x * x / 3
+    slope = 4 * (lo * lo - lo * hi + hi * hi) / (3 * (n + 1) ** 2) + 2 * x / 3
+    return value, slope
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,12 @@ class BoundaryCurve:
     breakpoints: np.ndarray
 
     def __call__(self, s2):
+        b2 = endpoint(self.d, self.r)
         arr = np.asarray(s2, dtype=float)
         out = np.empty(arr.shape)
         for idx, val in np.ndenumerate(arr):
-            out[idx] = lower_boundary(self.d, self.r, float(val))
+            x = _check_s2(self.d, self.r, b2, float(val))
+            out[idx] = _curve(self.d, b2, x)[0]
         return out if arr.shape else float(out)
 
     @property
@@ -196,8 +203,9 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
     more than 1e-9. With ``std_s2``/``std_s4`` given, every comparison
     backs off by k_sigma standard deviations of the compared quantity;
     for the curve test the deviation of f(s2_hat) - s4_hat is propagated
-    through the local slope of the curve, including the covariance of the
-    two estimates, so correlated errors are not double counted.
+    through the closed-form slope of the curve, including the covariance
+    of the two estimates, so correlated errors are not double counted.
+    ``k_sigma`` must be nonnegative in either mode.
     """
     d = _check_int(d, "d", 2)
     s2, s4 = _check_real(s2, "s2"), _check_real(s4, "s4")
@@ -212,32 +220,24 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
     s2 = max(s2, 0.0)
     s4 = max(s4, 0.0)
     conservative = std_s2 is not None or std_s4 is not None
-    if conservative:
-        if std_s2 is None or std_s4 is None:
-            raise InvalidInputError(
-                "provide both std_s2 and std_s4 or neither")
-        if std_s2 < 0 or std_s4 < 0 or k_sigma < 0:
-            raise InvalidInputError(
-                "standard deviations and k_sigma must be nonnegative")
+    if conservative and (std_s2 is None or std_s4 is None):
+        raise InvalidInputError("provide both std_s2 and std_s4 or neither")
+    if not conservative:
+        std_s2 = std_s4 = cov_s2s4 = 0.0
+    if std_s2 < 0 or std_s4 < 0 or k_sigma < 0:
+        raise InvalidInputError(
+            "standard deviations and k_sigma must be nonnegative")
     per_r = []
     decided = None
     for r in range(1, d + 1):
-        b2 = endpoint(d, r)
-        x_eval = min(s2, b2)
-        f_val = _piece_value(d, b2, x_eval)
-        deficit = f_val - s4
-        excess = s2 - b2
-        if conservative:
-            slope = _piece_slope(d, b2, x_eval)
-            var_v = (slope * slope * std_s2 * std_s2 + std_s4 * std_s4
-                     - 2 * slope * cov_s2s4)
-            sigma_v = math.sqrt(max(var_v, 0.0))
-            cap_margin = excess - k_sigma * std_s2
-            curve_margin = deficit - k_sigma * sigma_v
-        else:
-            sigma_v = 0.0
-            cap_margin = excess
-            curve_margin = deficit
+        b = (d * r - 1) / (d - 1)
+        b2 = b * b
+        f_val, slope = _curve(d, b2, min(s2, b2))
+        var_v = (slope * slope * std_s2 * std_s2 + std_s4 * std_s4
+                 - 2 * slope * cov_s2s4)
+        sigma_v = math.sqrt(max(var_v, 0.0))
+        cap_margin = s2 - b2 - k_sigma * std_s2
+        curve_margin = f_val - s4 - k_sigma * sigma_v
         violated = cap_margin > VIOLATION_TOL or curve_margin > VIOLATION_TOL
         per_r.append({
             "r": r, "endpoint": b2, "curve_value": f_val,
@@ -308,13 +308,14 @@ def region_scatter(d, n_states, seed):
 
     d = _check_int(d, "d", 2)
     n_states = _check_int(n_states, "n_states")
+    seed = _check_int(seed, "seed", 0)
     mixed_ranks = sorted({2, 3, d, max(2, d * d // 2), d * d})
     pattern = [("pure", r) for r in range(1, d + 1)]
     pattern += [("mixed", k) for k in mixed_ranks]
     rows = []
     for i in range(n_states):
         kind, rank = pattern[i % len(pattern)]
-        sub = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
+        sub = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         if kind == "pure":
             state = random_pure(d, d, sub, schmidt_rank=rank)
         else:

@@ -199,14 +199,15 @@ def cmd_boundary(args):
     header = ["s2"] + [f"f_r{r}" for r in r_values]
     if d == 3:
         header.append("outer")
-    rows = []
-    for s2 in s2_grid:
-        row = [float(s2)]
-        for curve, r in zip(curves, r_values):
-            row.append(curve(s2) if s2 <= endpoint(d, r) else float("nan"))
-        if d == 3:
-            row.append(outer_boundary_d3(float(s2))[0])
-        rows.append(row)
+    columns = [s2_grid]
+    for curve, r in zip(curves, r_values):
+        inside = s2_grid <= endpoint(d, r)
+        col = np.full(grid, np.nan)
+        col[inside] = curve(s2_grid[inside])
+        columns.append(col)
+    if d == 3:
+        columns.append([outer_boundary_d3(float(s2))[0] for s2 in s2_grid])
+    rows = [[float(v) for v in row] for row in zip(*columns)]
     if fmt == "csv":
         _emit(_csv_lines(config, header, rows), args.out)
     else:

@@ -29,7 +29,6 @@ __all__ = [
     "CorrelationData",
     "correlation_data",
     "trace_norm",
-    "two_norm",
 ]
 
 
@@ -117,7 +116,3 @@ def trace_norm(matrix):
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(matrix), compute_uv=False)))
 
-
-def two_norm(matrix):
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(matrix)))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalConsistencyError, _check_int
+from .errors import (
+    InvalidInputError, NumericalConsistencyError, _check_int, _check_real)
 from .correlations import correlation_data
 from .states import as_density
 
@@ -49,22 +50,18 @@ class MomentPair:
     s4: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.s2) and np.isfinite(self.s4)):
-            raise InvalidInputError("moments must be finite")
-        if self.s2 < -CONE_TOL:
-            raise InvalidInputError(f"S2 must be nonnegative, got {self.s2}")
-        slack = CONE_TOL * max(1.0, self.s2 ** 2)
-        if not (self.s2 ** 2 / 3 - slack <= self.s4 <= self.s2 ** 2 + slack):
+        s2, s4 = _check_real(self.s2, "S2"), _check_real(self.s4, "S4")
+        if s2 < -CONE_TOL:
+            raise InvalidInputError(f"S2 must be nonnegative, got {s2}")
+        slack = CONE_TOL * max(1.0, s2 ** 2)
+        if not (s2 ** 2 / 3 - slack <= s4 <= s2 ** 2 + slack):
             raise InvalidInputError(
-                f"({self.s2}, {self.s4}) lies outside the cone "
-                "S2^2/3 <= S4 <= S2^2")
-
-    def as_tuple(self):
-        return (self.s2, self.s4)
+                f"({s2}, {s4}) lies outside the cone S2^2/3 <= S4 <= S2^2")
 
 
 def moments_from_spectrum(epsilon, d):
     """Map an su-block singular spectrum to the (S2, S4) pair."""
+    d = _check_int(d, "d", 2)
     eps = np.asarray(epsilon, dtype=float)
     scale = d * d / (d - 1) ** 2
     s2 = scale * float(np.sum(eps ** 2))

@@ -17,7 +17,7 @@ from dimcert.boundary import (
     numeric_min_oracle,
     outer_boundary_d3,
 )
-from dimcert.correlations import correlation_data, trace_norm, two_norm
+from dimcert.correlations import correlation_data, trace_norm
 from dimcert.criteria import compare_all, sn_fidelity
 from dimcert.moments import MomentPair, exact_moments
 from dimcert.randsim import (
@@ -64,7 +64,7 @@ def test_criterion_02_isotropic_norm_closed_forms(capsys):
             expect_2 = np.sqrt(d * d - 1) * (1 - p) / d
             worst = max(worst,
                         abs(trace_norm(corr.su) - expect_tr),
-                        abs(two_norm(corr.su) - expect_2))
+                        abs(float(np.linalg.norm(corr.su)) - expect_2))
     ok = worst < 1e-9
     _report(capsys, "criterion 02", ok,
             f"9 (d, p) pairs, worst norm deviation {worst:.2e}")

@@ -28,7 +28,7 @@ def _classify_with(name):
 
 
 # each entry takes the bad value in one real-valued argument
-SCALAR_ENTRY_POINTS = {
+REAL_ENTRY_POINTS = {
     "classify_point.s2": lambda v: dimcert.classify_point(v, 1.5, 3),
     "classify_point.s4": lambda v: dimcert.classify_point(2.0, v, 3),
     **{f"classify_point.{name}": _classify_with(name) for name in _OK},
@@ -39,12 +39,34 @@ SCALAR_ENTRY_POINTS = {
     "family_state": lambda v: dimcert.family_state("A", v),
     "detect_with_confidence": lambda v: dimcert.detect_with_confidence(
         dimcert.max_entangled(3), 1000, k_sigma=v, seed=1),
+    "MomentPair.s2": lambda v: dimcert.MomentPair(v, 1.0),
+    "MomentPair.s4": lambda v: dimcert.MomentPair(1.0, v),
 }
+NOT_REAL = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
+            "huge-int": 10 ** 400}
+
+# each entry takes the bad value in one integer argument, with the largest
+# integer below its range
+INT_ENTRY_POINTS = {
+    "moments_from_spectrum.d": (
+        lambda v: dimcert.moments_from_spectrum([0.1], v), 1),
+    "region_scatter.seed": (lambda v: dimcert.region_scatter(3, 1, v), -1),
+}
+NOT_INT = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
+           "float": 1.5}
+
+CASES = [
+    pytest.param(call, bad, id=f"{entry}-{bad_id}")
+    for entry, call in REAL_ENTRY_POINTS.items()
+    for bad_id, bad in NOT_REAL.items()
+] + [
+    pytest.param(call, bad, id=f"{entry}-{bad_id}")
+    for entry, (call, below) in INT_ENTRY_POINTS.items()
+    for bad_id, bad in {**NOT_INT, "below-range": below}.items()
+]
 
 
-@pytest.mark.parametrize("bad", ["x", "1", None, True, 10 ** 400],
-                         ids=["str", "numeric-str", "none", "bool", "huge-int"])
-@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
-def test_non_numeric_scalars_rejected(entry, bad):
+@pytest.mark.parametrize("call,bad", CASES)
+def test_non_numeric_scalars_rejected(call, bad):
     with pytest.raises(InvalidInputError):
-        SCALAR_ENTRY_POINTS[entry](bad)
+        call(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dimcert.boundary import (
+    _curve,
     boundary_curve,
     classify_point,
     endpoint,
@@ -45,6 +46,9 @@ def test_domain_and_argument_validation():
         lower_boundary(1, 1, 0.5)
     with pytest.raises(InvalidInputError):
         lower_boundary(3, 2, float("nan"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="finite"):
+            boundary_curve(3, 2)(np.array([0.5, bad]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
@@ -57,6 +61,44 @@ def test_piece_continuity(d):
             left = lower_boundary(d, r, bp - h)
             right = lower_boundary(d, r, min(bp + h, curve.domain[1]))
             assert abs(left - right) < 1e-9 * max(1.0, abs(left))
+
+
+def _oracle_slopes(d, r, x, h):
+    """One-sided difference quotients of the oracle, left and right of x."""
+    mid = numeric_min_oracle(d, r, x)
+    return ((mid - numeric_min_oracle(d, r, x - h)) / h,
+            (numeric_min_oracle(d, r, x + h) - mid) / h)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_closed_form_slope_matches_oracle_inside_every_piece(d):
+    for r in range(1, d + 1):
+        curve = boundary_curve(d, r)
+        b2 = endpoint(d, r)
+        bp = curve.breakpoints
+        for lo, hi in zip(bp[:-1], bp[1:]):
+            for t in (0.25, 0.5, 0.75):
+                x = lo + t * (hi - lo)
+                slope = _curve(d, b2, x)[1]
+                # both quotients stay inside the piece; their truncation
+                # error is at most 2e-6 relative at this step
+                for fd in _oracle_slopes(d, r, x, 1e-6 * (hi - lo)):
+                    assert abs(fd - slope) < 1e-5 * slope, (d, r, x, fd, slope)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_slope_jumps_at_every_interior_breakpoint(d):
+    # f is continuous but not C1: the right slope exceeds the left one,
+    # in the closed form and in the oracle alike
+    for r in range(1, d + 1):
+        curve = boundary_curve(d, r)
+        b2 = endpoint(d, r)
+        for x in curve.breakpoints[1:-1]:
+            h = 1e-9 * x
+            left, right = _curve(d, b2, x - h)[1], _curve(d, b2, x + h)[1]
+            assert right - left > 0.05 * left, (d, r, x, left, right)
+            o_left, o_right = _oracle_slopes(d, r, x, h)
+            assert o_right - o_left > 0.05 * o_left, (d, r, x, o_left, o_right)
 
 
 def test_breakpoints_sorted_and_cover_domain():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dimcert.correlations import correlation_data, trace_norm, two_norm
+from dimcert.correlations import correlation_data, trace_norm
 from dimcert.criteria import sn_covariance
 from dimcert.errors import InvalidInputError
 from dimcert.states import (
@@ -149,7 +149,6 @@ def test_covariance_block_on_max_entangled_equals_su_block():
 def test_norm_helpers():
     m = np.diag([3.0, -4.0])
     assert abs(trace_norm(m) - 7.0) < 1e-12
-    assert abs(two_norm(m) - 5.0) < 1e-12
 
 
 def test_singular_values_sorted_descending():
