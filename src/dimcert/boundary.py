@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, _check_int, _check_real
-from .criteria import VIOLATION_TOL, SchmidtCertificate
+from .criteria import VIOLATION_TOL, _certificate
 
 G_CLAMP = -1e-12
 DOMAIN_SLACK = 1e-12
@@ -121,11 +121,12 @@ class BoundaryCurve:
 
     def __call__(self, s2):
         b2 = endpoint(self.d, self.r)
-        arr = np.asarray(s2, dtype=float)
+        # each element passes the same real-number check as lower_boundary,
+        # so bool, strings and None are rejected even inside a float list
+        arr = np.asarray(s2, dtype=object)
         out = np.empty(arr.shape)
         for idx, val in np.ndenumerate(arr):
-            x = _check_s2(self.d, self.r, b2, float(val))
-            out[idx] = _curve(self.d, b2, x)[0]
+            out[idx] = _curve(self.d, b2, _check_s2(self.d, self.r, b2, val))[0]
         return out if arr.shape else float(out)
 
     @property
@@ -228,7 +229,6 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         raise InvalidInputError(
             "standard deviations and k_sigma must be nonnegative")
     per_r = []
-    decided = None
     for r in range(1, d + 1):
         b = (d * r - 1) / (d - 1)
         b2 = b * b
@@ -238,25 +238,17 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         sigma_v = math.sqrt(max(var_v, 0.0))
         cap_margin = s2 - b2 - k_sigma * std_s2
         curve_margin = f_val - s4 - k_sigma * sigma_v
-        violated = cap_margin > VIOLATION_TOL or curve_margin > VIOLATION_TOL
         per_r.append({
             "r": r, "endpoint": b2, "curve_value": f_val,
             "cap_margin": cap_margin, "curve_margin": curve_margin,
-            "sigma_curve": sigma_v, "violated": violated,
+            "sigma_curve": sigma_v,
+            "violated": (cap_margin > VIOLATION_TOL
+                         or curve_margin > VIOLATION_TOL),
         })
-        if violated:
-            decided = per_r[-1]
-    if decided is None:
-        bound, margin = 1, 0.0
-    else:
-        bound = min(decided["r"] + 1, d)
-        margin = max(decided["cap_margin"], decided["curve_margin"])
-    details = {
-        "mode": "conservative" if conservative else "exact",
-        "k_sigma": k_sigma,
-        "per_r": per_r,
-    }
-    return SchmidtCertificate("moments", bound, margin, details)
+    return _certificate(
+        "moments", per_r,
+        lambda row: max(row["cap_margin"], row["curve_margin"]),
+        mode="conservative" if conservative else "exact", k_sigma=k_sigma)
 
 
 _D3_FAMILIES = {

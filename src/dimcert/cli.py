@@ -27,7 +27,6 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +47,7 @@ NAMED_STATES = (
     "random-pure", "random-mixed",
 )
 
-__all__ = ["RunConfig", "build_parser", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved parameters of one invocation, echoed into every output."""
-
-    command: str
-    options: dict
-
-    def to_dict(self):
-        return {"command": self.command, **self.options}
+__all__ = ["build_parser", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,7 +146,7 @@ def _emit_json(payload, out):
 
 
 def _csv_lines(config, header, rows):
-    lines = [f"# config: {json.dumps(config.to_dict())}", ",".join(header)]
+    lines = [f"# config: {json.dumps(config)}", ",".join(header)]
     for row in rows:
         lines.append(",".join(
             cell if isinstance(cell, str) else _fmt(cell) for cell in row))
@@ -175,7 +163,7 @@ def _check_format(args, allowed, default):
 
 
 def cmd_boundary(args):
-    d = _require(args, "d", "--d")
+    d = args.d
     if d < 2:
         raise InvalidInputError(f"--d must be at least 2, got {d}")
     if args.r_list:
@@ -194,8 +182,8 @@ def cmd_boundary(args):
     s2_max = (d + 1) / (d - 1)
     s2_grid = np.linspace(0.0, s2_max, grid)
     fmt = _check_format(args, ("csv", "json"), "csv")
-    config = RunConfig("boundary", {
-        "d": d, "r": r_values, "grid": grid, "format": fmt})
+    config = {"command": "boundary",
+              "d": d, "r": r_values, "grid": grid, "format": fmt}
     header = ["s2"] + [f"f_r{r}" for r in r_values]
     if d == 3:
         header.append("outer")
@@ -211,7 +199,7 @@ def cmd_boundary(args):
     if fmt == "csv":
         _emit(_csv_lines(config, header, rows), args.out)
     else:
-        _emit_json({"config": config.to_dict(),
+        _emit_json({"config": config,
                     "columns": header,
                     "rows": rows}, args.out)
     return 0
@@ -220,9 +208,9 @@ def cmd_boundary(args):
 def cmd_certify(args):
     state, desc, _ = _resolve_state(args, need_seed=False)
     fmt = _check_format(args, ("json",), "json")
-    config = RunConfig("certify", {**desc, "format": fmt})
+    config = {"command": "certify", **desc, "format": fmt}
     report = compare_all(state)
-    _emit_json({"config": config.to_dict(), "report": report.to_dict()},
+    _emit_json({"config": config, "report": report.to_dict()},
                args.out)
     return 0
 
@@ -231,35 +219,34 @@ def cmd_simulate(args):
     state, desc, seed = _resolve_state(args, need_seed=True)
     n = _require(args, "n", "--n")
     fmt = _check_format(args, ("json",), "json")
-    config = RunConfig("simulate", {
-        **desc, "n": n, "seed": seed, "k": args.k, "path": args.path,
-        "format": fmt})
+    config = {"command": "simulate",
+              **desc, "n": n, "seed": seed, "k": args.k, "path": args.path,
+              "format": fmt}
     result = detect_with_confidence(
         state, n, args.k, seed, path=args.path,
         keep_samples=args.samples_out is not None)
     if args.samples_out is not None:
-        lines = [f"# config: {json.dumps(config.to_dict())}", "x"]
+        lines = [f"# config: {json.dumps(config)}", "x"]
         lines += [_fmt(v) for v in result.estimate.samples]
         _emit("\n".join(lines), args.samples_out)
-    payload = {"config": config.to_dict(), "result": result.to_dict()}
+    payload = {"config": config, "result": result.to_dict()}
     _emit_json(payload, args.out)
     return 0
 
 
 def cmd_scatter(args):
-    d = _require(args, "d", "--d")
-    n = _require(args, "n", "--n")
+    d, n = args.d, args.n
     seed = _resolve_seed(args)
     fmt = _check_format(args, ("csv", "json"), "csv")
-    config = RunConfig("scatter", {
-        "d": d, "n": n, "seed": seed, "format": fmt})
+    config = {"command": "scatter",
+              "d": d, "n": n, "seed": seed, "format": fmt}
     rows = region_scatter(d, n, seed)
     header = ["s2", "s4", "kind", "rank"]
     if fmt == "csv":
         table = [[s2, s4, kind, str(rank)] for s2, s4, kind, rank in rows]
         _emit(_csv_lines(config, header, table), args.out)
     else:
-        _emit_json({"config": config.to_dict(),
+        _emit_json({"config": config,
                     "columns": header,
                     "rows": [[s2, s4, kind, rank]
                              for s2, s4, kind, rank in rows]}, args.out)
@@ -267,16 +254,14 @@ def cmd_scatter(args):
 
 
 def cmd_noise_tolerance(args):
-    d = _require(args, "d", "--d")
-    r = _require(args, "r", "--r")
-    n = _require(args, "n", "--n")
+    d, r, n = args.d, args.r, args.n
     seed = _resolve_seed(args)
     fmt = _check_format(args, ("json",), "json")
-    config = RunConfig("noise-tolerance", {
-        "d": d, "r": r, "n": n, "seed": seed, "k": args.k,
-        "path": args.path, "format": fmt})
+    config = {"command": "noise-tolerance",
+              "d": d, "r": r, "n": n, "seed": seed, "k": args.k,
+              "path": args.path, "format": fmt}
     result = noise_tolerance(d, r, n, args.k, seed, path=args.path)
-    _emit_json({"config": config.to_dict(), "result": result.to_dict()},
+    _emit_json({"config": config, "result": result.to_dict()},
                args.out)
     return 0
 

@@ -149,7 +149,7 @@ def _sample_x(rho, n_tot, seed, path, workers, namespace):
 
 @dataclass
 class EstimatorResult:
-    """Moment estimates with their empirical (and optional predicted) errors.
+    """Moment estimates with their empirical errors.
 
     ``std_s2``/``std_s4`` are one-standard-deviation errors of the two
     estimates computed from the sample spread; ``cov_s2s4`` is their
@@ -164,22 +164,16 @@ class EstimatorResult:
     std_s2: float
     std_s4: float
     cov_s2s4: float
-    predicted_std_s2: float | None = None
-    predicted_std_s4: float | None = None
     samples: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self):
-        out = {
+        return {
             "s2": self.s2, "s4": self.s4,
             "n_samples": self.n_samples, "path": self.path,
             "seed": self.seed,
             "std_s2": self.std_s2, "std_s4": self.std_s4,
             "cov_s2s4": self.cov_s2s4,
         }
-        if self.predicted_std_s2 is not None:
-            out["predicted_std_s2"] = self.predicted_std_s2
-            out["predicted_std_s4"] = self.predicted_std_s4
-        return out
 
 
 def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,

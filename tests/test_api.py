@@ -33,6 +33,7 @@ REAL_ENTRY_POINTS = {
     "classify_point.s4": lambda v: dimcert.classify_point(2.0, v, 3),
     **{f"classify_point.{name}": _classify_with(name) for name in _OK},
     "lower_boundary": lambda v: dimcert.lower_boundary(3, 2, v),
+    "BoundaryCurve": lambda v: dimcert.boundary_curve(3, 2)(v),
     "numeric_min_oracle": lambda v: dimcert.numeric_min_oracle(3, 2, v),
     "outer_boundary_d3": lambda v: dimcert.outer_boundary_d3(v),
     "isotropic": lambda v: dimcert.isotropic(3, v),

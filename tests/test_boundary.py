@@ -49,6 +49,9 @@ def test_domain_and_argument_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="finite"):
             boundary_curve(3, 2)(np.array([0.5, bad]))
+    for bad in (['0.5'], [0.5, True]):
+        with pytest.raises(InvalidInputError):
+            boundary_curve(3, 2)(bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])

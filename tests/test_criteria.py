@@ -274,11 +274,11 @@ def test_compare_all_equals_standalone_criteria():
         for part in parts:
             assert by_id[part.criterion_id].to_dict() == part.to_dict()
         # the fidelity entry is the best target's certificate, in full
-        targets = _fidelity_targets(rho)
-        labels = [label for _, label in targets]
+        vecs, labels = _fidelity_targets(rho)
         fid = by_id["fidelity"]
         assert fid.details["targets_tested"] == labels
-        for target, label in targets:
+        for vec, label in zip(vecs, labels):
+            target = PureState(rho.dim_a, rho.dim_b, vec)
             part = sn_fidelity(rho, target, label=label)
             assert ((part.certified_lower_bound, part.margin)
                     <= (fid.certified_lower_bound, fid.margin))
@@ -303,6 +303,22 @@ def test_criteria_take_a_state_or_its_correlation_data(fn):
     assert [row["r"] for row in certs[0]["details"]["per_r"]] == [1, 2, 3]
     assert certs[0]["certified_lower_bound"] == 2
     assert all(cert == certs[0] for cert in certs)
+
+
+def test_compare_all_builds_no_pure_state(monkeypatch):
+    # the fidelity targets are plain vectors, not validated states
+    zoo = _zoo()
+    built = []
+    init = PureState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    for rho in zoo:
+        compare_all(rho)
+    assert built == []
 
 
 def test_compare_all_builds_correlation_data_once(monkeypatch):
