@@ -80,17 +80,19 @@ def _check_s2(d, r, b2, s2):
     return min(max(s2, 0.0), b2)
 
 
-def _curve(d, b2, x):
-    """Value and slope of f_{d,r} at 0 <= x <= b2 = B_r^2.
+def _curve(d, b2, x, n=None):
+    """Value and slope of f_{d,r} at 0 <= x <= b2 = B_r^2 on piece n.
 
-    f is continuous but has a kink at every breakpoint between pieces:
-    the one-sided slopes there differ. At a breakpoint the slope is that
-    of the piece the value is taken from.
+    Piece n covers [b2/(n+1), b2/n]; the last, n = d^2 - 1, is the
+    quadratic on [0, b2/n]. f has a kink at every breakpoint b2/n. By
+    default n is the piece that holds x, at a breakpoint in general the left.
     """
-    if x * (d * d - 1) <= b2 * (1 + DOMAIN_SLACK):
+    if n is None:
+        n = (d * d - 1 if x * (d * d - 1) <= b2 * (1 + DOMAIN_SLACK)
+             else min(d * d - 2, max(1, int(b2 / x))))
+    if n == d * d - 1:
         c = (d * d + 1) / (3 * (d * d - 1))
         return c * x * x, 2 * c * x
-    n = min(d * d - 2, max(1, int(b2 / x)))
     b = math.sqrt(b2)
     g = n * (n + 1) * x - n * b2
     # at the lower edge of a piece g can dip to about -1e-12 in floating point
@@ -233,6 +235,11 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         b = (d * r - 1) / (d - 1)
         b2 = b * b
         f_val, slope = _curve(d, b2, min(s2, b2))
+        n = round(b2 / s2) if (std_s2 or cov_s2s4) and s2 * d * d > b2 else 0
+        # an error in s2 moves f along either piece of an interior kink
+        if 2 <= n < d * d and abs(n * s2 - b2) <= DOMAIN_SLACK * b2:
+            slope = max((_curve(d, b2, b2 / n, p)[1] for p in (n, n - 1)),
+                        key=lambda s: s * s * std_s2 * std_s2 - 2 * s * cov_s2s4)
         var_v = (slope * slope * std_s2 * std_s2 + std_s4 * std_s4
                  - 2 * slope * cov_s2s4)
         sigma_v = math.sqrt(max(var_v, 0.0))

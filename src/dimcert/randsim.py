@@ -3,15 +3,15 @@
 Every sample is one correlation value x = tr(rho (A (x) B)) for an
 independently drawn pair of traceless local observables. In the su(d)
 basis this is x = a^T X_su b, with a_k = tr(A g_k) and b_k = tr(B g_k),
-so the two sampling paths differ only in how they draw the local
-vectors a and b; one contraction with the su correlation block follows:
+so the two sampling paths differ only in how they draw the stacks of
+local vectors a, b; one contraction sum(a * (X_su @ b), axis=0) follows:
 
 * "haar": the Bloch vectors of A = U M U^dag, B = V M V^dag for
   Haar-random unitaries U, V and the fixed probing observable M (odd d
-  only). U is Gram-Schmidt on a complex Gaussian matrix: the QR factor
-  with a positive R diagonal, exactly Haar. The last (d-1)/2 eigenvalues
-  of M are equal, so U M U^dag is, up to a multiple of the identity, set
-  by the first (d+1)/2 columns of U, and only those are orthonormalised.
+  only). The last (d-1)/2 eigenvalues of M are equal, so only the first
+  (d+1)/2 columns of U are drawn and orthonormalised (Gram-Schmidt,
+  exactly Haar), with the draws of a block along the last axis, and the
+  components come from elementwise products of those columns.
 * "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
@@ -28,16 +28,15 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import InvalidInputError, _check_int, _check_real
 from .boundary import classify_point
-from .correlations import _basis_matrix, correlation_data
+from .correlations import correlation_data
 from .moments import exact_moments, observable_m, scaling_constants
-from .states import _haar_unitaries, as_density, as_rng, isotropic
+from .states import _haar_unitaries, as_density, as_rng, extended_basis, isotropic
 
 BLOCK = 4096
 MIN_SAMPLES = 100
@@ -83,38 +82,40 @@ def _block_rng(seed, namespace, block):
 
 def haar_unitary(d, rng):
     """One Haar-distributed d x d unitary from a Generator or a seed."""
-    return _haar_unitaries((), _check_int(d, "d"), as_rng(rng))
-
-
-@lru_cache(maxsize=None)
-def _real_projector(d):
-    """``Z.view(float64) @ P`` is ``(Z @ G^T).real``, G the su(d) basis rows."""
-    g = _basis_matrix(d)[1:].T
-    proj = np.empty((2 * d * d, d * d - 1))
-    proj[0::2] = g.real
-    proj[1::2] = -g.imag
-    proj.setflags(write=False)
-    return proj
+    return _haar_unitaries((), _check_int(d, "d"), as_rng(rng)).T
 
 
 def _local_vectors(d, m_eigs, m, rng):
-    """Two stacks of m local su(d) vectors, shape (2, m, d^2 - 1).
+    """Two stacks of m local su(d) vectors, shape (d^2 - 1, 2, m).
 
-    Without a probing spectrum the vectors are uniform on the unit sphere
-    ("bloch"). With one, entry k is tr(U M U^dag g_k) for a Haar-random U
-    ("haar"), so every vector has squared norm tr M^2 = d. When the last
-    d - k eigenvalues equal m_last, U M U^dag = sum_{j<k} (m_j - m_last)
-    u_j u_j^dag + m_last I, and the identity has no su(d) component.
+    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": entry
+    g is tr(A g) for A = U M U^dag = sum_{j<k} c_j u_j u_j^dag + m_last I,
+    c_j = m_j - m_last, so |a|^2 = tr M^2 = d. Row a of A right of its
+    diagonal gives the symmetric and antisymmetric components sqrt(2) Re
+    and -sqrt(2) Im; the diagonal meets the diagonal generators.
     """
     if m_eigs is None:
         raw = rng.standard_normal((2, m, d * d - 1))
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    k = d
-    while k and m_eigs[k - 1] == m_eigs[-1]:
-        k -= 1
-    u = _haar_unitaries((2, m), d, rng, columns=k)
-    rot = (u * (m_eigs[:k] - m_eigs[-1])) @ u.conj().swapaxes(-1, -2)
-    return rot.reshape(2, m, d * d).view(np.float64) @ _real_projector(d)
+        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+        return raw.transpose(2, 0, 1)
+    # the trailing run of eigenvalues equal to m_last starts at k
+    k = int(np.argmax(m_eigs == m_eigs[-1]))
+    u = _haar_unitaries((2 * m,), d, rng, columns=k)
+    # row a of cu * u is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
+    cu = u.conj() * (m_eigs[:k] - m_eigs[-1])[:, None, None]
+    half = d * (d - 1) // 2
+    vecs = np.empty((d * d - 1, 2 * m))
+    diag = np.empty((d, 2 * m))
+    for a in range(d):
+        row = (cu[:, a:a + 1] * u[:, a:]).sum(axis=0)
+        lo = a * (2 * d - a - 1) // 2
+        hi = lo + d - 1 - a
+        diag[a] = row[0].real
+        vecs[lo:hi] = math.sqrt(2) * row[1:].real
+        vecs[half + lo:half + hi] = math.sqrt(2) * row[1:].imag
+    gens = np.diagonal(extended_basis(d)[2 * half + 1:], axis1=1, axis2=2)
+    vecs[2 * half:] = gens.real @ diag
+    return vecs.reshape(-1, 2, m)
 
 
 def _sample_x(rho, n_tot, seed, path, workers, namespace):
@@ -134,8 +135,7 @@ def _sample_x(rho, n_tot, seed, path, workers, namespace):
         stop = min(start + BLOCK, n_tot)
         vecs = _local_vectors(d, m_eigs, stop - start,
                               _block_rng(seed, namespace, b))
-        x[start:stop] = np.einsum("ni,ij,nj->n", vecs[0], x_su, vecs[1],
-                                  optimize=True)
+        x[start:stop] = np.sum(vecs[:, 0] * (x_su @ vecs[:, 1]), axis=0)
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:

@@ -370,36 +370,29 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     core /= np.linalg.norm(core)
     coeff = np.zeros((da, db), dtype=np.complex128)
     coeff[:r, :r] = core
-    ua = _haar_unitaries((), da, rng)
-    ub = _haar_unitaries((), db, rng)
-    coeff = ua @ coeff @ ub.T
+    coeff = _haar_unitaries((), da, rng).T @ coeff @ _haar_unitaries((), db, rng)
     return PureState(da, db, coeff.reshape(-1))
 
 
 def _haar_unitaries(shape, d, rng, columns=None):
-    """Haar-random d x d unitaries stacked to ``shape``.
+    """Haar-random d x d unitaries stacked to ``shape``, as ``(k, d, *shape)``.
 
-    Modified Gram-Schmidt on the columns of a complex Ginibre stack gives
-    the Q of Z = QR with a positive R diagonal, which is exactly Haar
+    Column j of every unitary sits at ``[j]``, so the long stack axes come
+    last. Modified Gram-Schmidt on the columns of a complex Ginibre stack
+    gives the Q of Z = QR with a positive R diagonal, which is exactly Haar
     (Mezzadri, math-ph/0609050). Column j of Q depends only on columns
-    0..j of Z, so ``columns=k`` (default d) returns the leading k columns
-    of the same unitaries, shape ``(*shape, d, k)``. The Haar sampling path
-    needs (d+1)/2: its probing observable's last (d-1)/2 eigenvalues are
-    equal, so their eigenvectors enter U M U^dag only through the identity.
+    0..j of Z, and the normals are drawn column by column as ``(k, d,
+    *shape, 2)``, so ``columns=k`` (default d) draws only k columns and
+    returns the leading k columns of the same unitaries.
     """
     k = d if columns is None else columns
-    raw = rng.standard_normal((*shape, d, d, 2))
-    # row j of q is column j of Z, so each column is contiguous
-    q = np.ascontiguousarray(
-        raw.view(np.complex128)[..., 0].swapaxes(-1, -2)[..., :k, :])
+    q = rng.standard_normal((k, d, *shape, 2)).view(np.complex128)[..., 0]
     for j in range(k):
-        col = q[..., j, :]
-        flat = col.view(np.float64)
-        col /= np.sqrt(np.einsum("...i,...i->...", flat, flat))[..., None]
-        rest = q[..., j + 1:, :]
-        overlap = np.einsum("...i,...ji->...j", col.conj(), rest)
-        rest -= overlap[..., None] * col[..., None, :]
-    return q.swapaxes(-1, -2)
+        col = q[j]
+        col /= np.sqrt((col.real ** 2 + col.imag ** 2).sum(axis=0))
+        rest = q[j + 1:]
+        rest -= (col.conj() * rest).sum(axis=1, keepdims=True) * col
+    return q
 
 
 def random_mixed(dim_a, dim_b, rank, seed):

@@ -210,6 +210,27 @@ def test_classify_conservative_never_beats_exact():
         assert cons.details["mode"] == "conservative"
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_classify_sigma_takes_the_larger_side_of_every_kink(d):
+    # an error in s2 moves f along either piece at a breakpoint, so the
+    # back-off there uses the larger of the two one-sided variances; the
+    # slope has a square-root edge at the left end of a piece, so the
+    # one-sided values 1e-9 x away agree with the limits to within 4e-5
+    std2, std4, cov = 0.01, 0.02, 1e-4
+    for r in range(1, d + 1):
+        curve = boundary_curve(d, r)
+        b2 = endpoint(d, r)
+        for x in curve.breakpoints[1:-1]:
+            h = 1e-9 * x
+            sides = [np.sqrt(s * s * std2 * std2 + std4 * std4 - 2 * s * cov)
+                     for s in (_curve(d, b2, x - h)[1],
+                               _curve(d, b2, x + h)[1])]
+            row = classify_point(x, curve(x), d, std_s2=std2, std_s4=std4,
+                                 cov_s2s4=cov, k_sigma=3.0).details["per_r"][r - 1]
+            assert row["sigma_curve"] == pytest.approx(max(sides), rel=1e-4), (
+                d, r, x, row["sigma_curve"], sides)
+
+
 def test_classify_conservative_equals_exact_at_zero_sigma():
     for s2, s4 in ((2.0, 5 / 3), (1.0, 1.0), (1.125, 0.52734375)):
         a = classify_point(s2, s4, 3).certified_lower_bound

@@ -83,19 +83,38 @@ class _Fixed:
         return self.raw
 
 
+def _as_matrices(u):
+    """``(k, d, *shape)`` columns as a ``(*shape, d, k)`` stack of matrices."""
+    return np.moveaxis(u, (0, 1), (-1, -2))
+
+
 @pytest.mark.parametrize("d", range(2, 8))
 def test_gram_schmidt_matches_phase_fixed_qr(d):
-    # the Q of QR with R's diagonal phases moved into Q, on the same normals
-    raw = np.random.default_rng(d).standard_normal((3, 700, d, d, 2))
-    q, r = np.linalg.qr(raw[..., 0] + 1j * raw[..., 1])
+    # the Q of QR with R's diagonal phases moved into Q, on the same normals;
+    # raw[j, i, s] holds entry (i, j) of Ginibre matrix s
+    raw = np.random.default_rng(d).standard_normal((d, d, 3, 700, 2))
+    z = _as_matrices(raw[..., 0] + 1j * raw[..., 1])
+    q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     ref = q * (diag / np.abs(diag))[..., None, :]
     u = _haar_unitaries((3, 700), d, _Fixed(raw))
-    assert u.shape == (3, 700, d, d)
-    assert np.max(np.abs(u - ref)) < 1e-12
+    assert u.shape == (d, d, 3, 700)
+    assert np.max(np.abs(_as_matrices(u) - ref)) < 1e-12
     for k in range(1, d + 1):
-        lead = _haar_unitaries((3, 700), d, _Fixed(raw), columns=k)
-        assert np.max(np.abs(lead - u[..., :k])) < 1e-14
+        lead = _haar_unitaries((3, 700), d, _Fixed(raw[:k]), columns=k)
+        assert np.max(np.abs(lead - u[:k])) < 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_fewer_columns_draw_a_prefix_of_the_same_stream(d):
+    # the column axis is outermost, so k columns read the first k * d * 2
+    # normals per stack entry of the full draw from the same block key
+    full = _haar_unitaries((2 * 500,), d, _block_rng(5, _NS_MAIN, 3))
+    for k in range(1, d + 1):
+        lead = _haar_unitaries((2 * 500,), d, _block_rng(5, _NS_MAIN, 3),
+                               columns=k)
+        assert lead.shape == (k, d, 1000)
+        assert np.max(np.abs(lead - full[:k])) < 1e-14
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -103,7 +122,7 @@ def test_gram_schmidt_unitary_over_a_million_draws(d):
     rng = np.random.default_rng(100 + d)
     worst = 0.0
     for _ in range(2 ** 20 // 2 ** 13):
-        u = _haar_unitaries((2 ** 13,), d, rng)
+        u = _as_matrices(_haar_unitaries((2 ** 13,), d, rng))
         gram = u.conj().swapaxes(-1, -2) @ u
         worst = max(worst, float(np.max(np.abs(gram - np.eye(d)))))
     assert worst < 1e-11
@@ -114,12 +133,28 @@ def test_truncated_local_vectors_match_full_projection(d):
     # (d+1)/2 orthonormal columns give the su(d) part of U M U^dag exactly
     m_eigs = observable_m(d)
     vecs = _local_vectors(d, m_eigs, 300, np.random.default_rng(d))
-    u = _haar_unitaries((2, 300), d, np.random.default_rng(d))
+    u = _as_matrices(_haar_unitaries((2 * 300,), d, np.random.default_rng(d)))
     rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
-    ref = (rot.reshape(2, 300, d * d) @ _basis_matrix(d)[1:].T).real
-    assert vecs.shape == (2, 300, d * d - 1)
-    assert np.max(np.abs(vecs - ref)) < 1e-12
-    assert np.allclose(np.sum(vecs ** 2, axis=-1), d, atol=1e-12)
+    ref = (rot.reshape(600, d * d) @ _basis_matrix(d)[1:].T).real
+    assert vecs.shape == (d * d - 1, 2, 300)
+    assert np.max(np.abs(vecs - ref.T.reshape(d * d - 1, 2, 300))) < 1e-12
+    assert np.allclose(np.sum(vecs ** 2, axis=0), d, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_haar_local_vectors_are_isotropic(d):
+    # Haar U makes the su(d) vector of U M U^dag rotation invariant, so
+    # E[a a^T] = |a|^2/(d^2 - 1) I; a mis-scaled block of generators breaks
+    # this, and so does a non-Haar draw, which same-draw references miss
+    n, draws = d * d - 1, 2 ** 16
+    rng = np.random.default_rng(40 + d)
+    a = np.concatenate([
+        _local_vectors(d, observable_m(d), draws // 8, rng).reshape(n, -1)
+        for _ in range(4)], axis=1)
+    mean = a @ a.T / draws
+    se = np.sqrt(np.maximum((a * a) @ (a * a).T / draws - mean ** 2, 0)
+                 / draws)
+    assert np.all(np.abs(mean - d / n * np.eye(n)) < 5 * se)
 
 
 # --- the sampling engine ---------------------------------------------------
@@ -132,11 +167,12 @@ def test_haar_samples_match_kron_reference(rho):
     # x = Re tr(rho (U M U^dag (x) V M V^dag)) with the unitaries of block 0
     d, n, seed = rho.dim_a, 200, 13
     x = estimate_moments(rho, n, seed, path="haar", keep_samples=True).samples
-    u = _haar_unitaries((2, n), d, _block_rng(seed, _NS_MAIN, 0))
+    u = _as_matrices(_haar_unitaries((2 * n,), d,
+                                     _block_rng(seed, _NS_MAIN, 0)))
     m = np.diag(observable_m(d))
     ref = [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
                                          b @ m @ b.conj().T)).real
-           for a, b in zip(u[0], u[1])]
+           for a, b in zip(u[:n], u[n:])]
     assert np.max(np.abs(x - ref)) < 1e-12
 
 
