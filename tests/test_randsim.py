@@ -73,14 +73,17 @@ def test_haar_unitary_accepts_seed_or_none():
 
 
 class _Fixed:
-    """A stand-in generator that hands out one fixed normal array."""
+    """A stand-in generator that hands out a fresh copy of fixed normals.
+
+    The copy matters: ``_haar_unitaries`` orthonormalises its draw in place.
+    """
 
     def __init__(self, raw):
         self.raw = raw
 
     def standard_normal(self, shape):
         assert shape == self.raw.shape
-        return self.raw
+        return self.raw.copy()
 
 
 def _as_matrices(u):
