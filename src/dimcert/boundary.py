@@ -236,13 +236,13 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
         b2 = b * b
         f_val, slope = _curve(d, b2, min(s2, b2))
         slopes = [slope]
-        n = round(b2 / s2) if (std_s2 or cov_s2s4) and s2 * d * d > b2 else 0
+        n = round(b2 / s2) if conservative and s2 * d * d > b2 else 0
         # an error in s2 moves f along either piece of an interior kink
         if 2 <= n < d * d and abs(n * s2 - b2) <= DOMAIN_SLACK * b2:
             slopes = [_curve(d, b2, b2 / n, p)[1] for p in (n, n - 1)]
-        var_v = max(s * s * std_s2 * std_s2 + std_s4 * std_s4
-                    - 2 * s * cov_s2s4 for s in slopes)
-        sigma_v = math.sqrt(max(var_v, 0.0))
+        sigma_v = math.sqrt(max(0.0, *(
+            s * s * std_s2 * std_s2 + std_s4 * std_s4 - 2 * s * cov_s2s4
+            for s in slopes))) if conservative else 0.0
         cap_margin = s2 - b2 - k_sigma * std_s2
         curve_margin = f_val - s4 - k_sigma * sigma_v
         per_r.append({
