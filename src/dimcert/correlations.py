@@ -10,7 +10,8 @@ operator Schmidt values of the state, with ``sum xi^2 = tr(rho^2)``.
 X is computed by two matrix products, ``X = M_a R(rho) M_b^T``, where the
 realigned matrix ``R(rho)[(i i'), (j j')] = rho[(i j), (i' j')]`` has shape
 (d_a^2, d_b^2) and the row k of the basis matrix ``M_d`` is the flattened
-transpose of the basis element g_k (cached per local dimension).
+transpose of the basis element g_k (cached per local dimension). The
+data is built once per ``DensityMatrix`` and kept on it, read-only.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _basis_matrix(d):
 
 
 def correlation_data(rho):
-    """Build the full correlation matrix and its singular spectra.
+    """The full correlation matrix and its singular spectra, built once per state.
 
     Raises
     ------
@@ -80,6 +81,12 @@ def correlation_data(rho):
         states in Hermitian bases give real coefficients exactly).
     """
     rho = as_density(rho)
+    if rho._corr is None:
+        rho._corr = _build_correlation_data(rho)
+    return rho._corr
+
+
+def _build_correlation_data(rho):
     da, db = rho.dim_a, rho.dim_b
     realigned = rho.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
     full_c = (_basis_matrix(da) @ realigned.reshape(da * da, db * db)
@@ -100,6 +107,8 @@ def correlation_data(rho):
         raise NumericalConsistencyError(
             f"operator Schmidt values square-sum to {np.sum(xi ** 2):.12f} "
             f"but tr(rho^2) = {pur:.12f}")
+    for arr in (full, vector_a, vector_b, epsilon, xi):
+        arr.setflags(write=False)
     return CorrelationData(
         dim_a=da, dim_b=db, full=full, su=su,
         vector_a=vector_a, vector_b=vector_b,

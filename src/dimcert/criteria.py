@@ -221,36 +221,39 @@ def _fidelity(rho, vecs, labels, **details):
     """Best fidelity certificate over the unit target vectors ``vecs``.
 
     One stacked SVD gives the Schmidt coefficients of every row; the best
-    certificate by (bound, margin) wins, the first on a tie. A label of
-    None is left out of the details.
+    target by (bound, margin) wins, the first on a tie, and only its
+    certificate is built. A label of None is left out of the details.
     """
     lams = np.linalg.svd(vecs.reshape(-1, rho.dim_a, rho.dim_b),
                          compute_uv=False) ** 2
-    certs = []
-    for vec, lam, label in zip(vecs, lams, labels):
-        fid = float(np.real(vec.conj() @ rho.matrix @ vec))
-        extra = {"fidelity": fid,
-                 "target_schmidt_coefficients": lam.tolist()}
-        if label is not None:
-            extra["target"] = label
-        # one Schmidt coefficient per r = 1..min(d_a, d_b)
-        certs.append(_threshold(
-            "fidelity", [(fid, c) for c in np.cumsum(lam).tolist()],
-            **extra, **details))
-    return max(certs, key=lambda c: (c.certified_lower_bound, c.margin))
+    fids = [float(np.real(vec.conj() @ rho.matrix @ vec)) for vec in vecs]
+    # one summed Schmidt coefficient per r = 1..min(d_a, d_b); the sums
+    # never decrease, so the violated rows are the first `top` ones
+    sums = np.cumsum(lams, axis=1).tolist()
+
+    def rank(i):  # (bound, margin) of the certificate _threshold builds
+        top = sum(fids[i] > c + VIOLATION_TOL for c in sums[i])
+        return min(top + 1, len(sums[i])), fids[i] - sums[i][top - 1] if top else 0.0
+
+    i = max(range(len(vecs)), key=rank)
+    target = {} if labels[i] is None else {"target": labels[i]}
+    return _threshold("fidelity", [(fids[i], c) for c in sums[i]],
+                      fidelity=fids[i],
+                      target_schmidt_coefficients=lams[i].tolist(),
+                      **target, **details)
 
 
 def sn_reduction_map(rho):
     """Positivity of rho_a (x) 1 - rho/r, violated only above Schmidt number r.
 
     r is violated when the smallest eigenvalue drops below -1e-10; the
-    margin is minus that eigenvalue. One partial trace and one Kronecker
-    product serve every r, and the operators are diagonalised in one
-    stacked call.
+    margin is minus that eigenvalue. One partial trace and one broadcast
+    product serve every r; one stacked call diagonalises the operators.
     """
     rho = as_density(rho)
     rs = np.arange(1, min(rho.dim_a, rho.dim_b) + 1)
-    base = np.kron(partial_trace(rho, "a"), np.eye(rho.dim_b))
+    rho_a = partial_trace(rho, "a")[:, None, :, None]
+    base = (rho_a * np.eye(rho.dim_b)[:, None]).reshape(rho.dim, rho.dim)
     eig_min = np.linalg.eigvalsh(base - rho.matrix / rs[:, None, None])[:, 0]
     per_r = [{"r": int(r), "min_eigenvalue": float(e),
               "violated": bool(e < -STRUCT_TOL)}

@@ -15,13 +15,15 @@ Conventions
   d=2 they are the Pauli matrices divided by sqrt(2)).
 * Structural tolerances (hermiticity, trace, norm) are 1e-10; derived
   quantities are compared at 1e-9. Validation rejects bad input, it never
-  projects onto the valid set.
+  projects onto the valid set. Positivity is a Cholesky factorisation of
+  ``rho + 1e-10 * identity``; only if it fails is the spectrum computed.
+  States hold read-only copies of their input arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -112,11 +114,12 @@ class DensityMatrix:
     dim_a: int
     dim_b: int
     matrix: np.ndarray
+    _corr: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
         self.dim_b = _check_int(self.dim_b, "dim_b", 2)
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = np.array(self.matrix, dtype=np.complex128)
         n = self.dim_a * self.dim_b
         if mat.shape != (n, n):
             raise InvalidInputError(
@@ -132,10 +135,14 @@ class DensityMatrix:
         if trace_dev > STRUCT_TOL:
             raise InvalidInputError(
                 f"matrix trace deviates from 1 by {trace_dev:.3e} > {STRUCT_TOL}")
-        eig_min = float(np.linalg.eigvalsh(mat)[0])
-        if eig_min < -STRUCT_TOL:
-            raise InvalidInputError(
-                f"matrix is not positive semidefinite: min eigenvalue {eig_min:.3e}")
+        try:
+            np.linalg.cholesky(mat + STRUCT_TOL * np.eye(n))
+        except np.linalg.LinAlgError:
+            eig_min = float(np.linalg.eigvalsh(mat)[0])
+            if eig_min < -STRUCT_TOL:
+                raise InvalidInputError("matrix is not positive semidefinite: "
+                                        f"min eigenvalue {eig_min:.3e}") from None
+        mat.setflags(write=False)
         self.matrix = mat
 
     @property
@@ -157,7 +164,7 @@ class PureState:
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
         self.dim_b = _check_int(self.dim_b, "dim_b", 2)
-        vec = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        vec = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         n = self.dim_a * self.dim_b
         if vec.shape != (n,):
             raise InvalidInputError(
@@ -169,6 +176,7 @@ class PureState:
         if norm_dev > STRUCT_TOL:
             raise InvalidInputError(
                 f"state norm deviates from 1 by {norm_dev:.3e} > {STRUCT_TOL}")
+        vec.setflags(write=False)
         self.amplitudes = vec
 
     def coefficient_matrix(self):
