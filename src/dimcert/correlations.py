@@ -107,7 +107,7 @@ def _build_correlation_data(rho):
         raise NumericalConsistencyError(
             f"operator Schmidt values square-sum to {np.sum(xi ** 2):.12f} "
             f"but tr(rho^2) = {pur:.12f}")
-    for arr in (full, vector_a, vector_b, epsilon, xi):
+    for arr in (full, su, vector_a, vector_b, epsilon, xi):
         arr.setflags(write=False)
     return CorrelationData(
         dim_a=da, dim_b=db, full=full, su=su,
