@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from dimcert import correlations
 from dimcert.correlations import correlation_data, trace_norm
-from dimcert.criteria import sn_covariance
+from dimcert.criteria import compare_all, sn_covariance
 from dimcert.errors import InvalidInputError
+from dimcert.moments import exact_moments
+from dimcert.randsim import predicted_variance
 from dimcert.states import (
     DensityMatrix,
     PureState,
@@ -176,3 +179,23 @@ def test_local_unitary_invariance_of_spectra():
 def test_rejects_raw_arrays():
     with pytest.raises(InvalidInputError):
         correlation_data(np.eye(9) / 9)
+
+
+def test_correlation_data_built_once_per_state(monkeypatch):
+    # count the build itself: correlation_data is called once per use
+    builds = []
+    build = correlations._build_correlation_data
+    monkeypatch.setattr(correlations, "_build_correlation_data",
+                        lambda rho: builds.append(rho) or build(rho))
+    rho = random_mixed(4, 4, 3, seed=5)
+    compare_all(rho)
+    exact_moments(rho)
+    assert len(builds) == 1
+    cached = correlation_data(rho)
+    fresh = correlation_data(DensityMatrix(4, 4, rho.matrix))
+    assert len(builds) == 2
+    for name in ("full", "su", "vector_a", "vector_b", "epsilon", "xi"):
+        np.testing.assert_array_equal(getattr(cached, name), getattr(fresh, name))
+        assert not getattr(cached, name).flags.writeable
+    predicted_variance(isotropic(3, 0.2), 1000, m8_samples=10_000)
+    assert len(builds) == 3

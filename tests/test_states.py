@@ -75,6 +75,54 @@ def test_density_matrix_accepts_tiny_negative_eigenvalue():
     assert dm.matrix[3, 3].real < 0
 
 
+def _with_spectrum(dim, lam_min, seed):
+    """A Hermitian unit-trace dim x dim matrix with smallest eigenvalue lam_min."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(z)[0]
+    lam = rng.uniform(0.5, 1.0, dim)
+    lam[0] = 0.0
+    lam *= (1 - lam_min) / lam.sum()
+    lam[0] = lam_min
+    mat = (u * lam) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_positivity_threshold_pinned(d):
+    # the Cholesky check must keep the -1e-10 floor of the spectrum check
+    rejected = _with_spectrum(d * d, -2e-10, seed=d)
+    with pytest.raises(InvalidInputError, match=r"eigenvalue -2\.000e-10"):
+        DensityMatrix(d, d, rejected)
+    accepted = _with_spectrum(d * d, -5e-11, seed=d)
+    assert np.linalg.eigvalsh(accepted)[0] < 0
+    DensityMatrix(d, d, accepted)
+
+
+def test_positivity_accepts_rank_one_states():
+    vec = random_pure(6, 6, seed=4).amplitudes
+    DensityMatrix(6, 6, np.outer(vec, vec.conj()))
+    max_entangled(7).to_density()
+
+
+def test_states_copy_their_input_and_are_read_only():
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho = DensityMatrix(2, 2, m)
+    m[0, 0] = 7
+    m[1, 1] = -5
+    assert np.array_equal(rho.matrix, np.diag([0.5, 0.5, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1
+    v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    psi = PureState(2, 2, v)
+    v[0] = 5
+    assert psi.amplitudes[0] == 1
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 1
+    with pytest.raises(ValueError):
+        psi.coefficient_matrix()[0, 0] = 1
+
+
 def test_pure_state_normalization_enforced():
     with pytest.raises(InvalidInputError, match="norm"):
         PureState(2, 2, np.array([1.0, 1.0, 0, 0], dtype=complex))
