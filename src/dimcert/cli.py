@@ -16,9 +16,9 @@ noise-tolerance
 
 Every output embeds the fully resolved configuration, including a seed
 drawn on the spot when --seed is omitted, so any run can be replayed
-bit for bit. Exit codes: 0 success, 1 invalid input or I/O failure,
-2 internal numerical failure (a consistency check or a linear-algebra
-routine that did not converge); nothing else.
+bit for bit. Exit codes: 0 success, 1 invalid input, I/O failure or
+out of memory, 2 internal numerical failure (a consistency check or a
+linear-algebra routine that did not converge); nothing else.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidInputError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         target = getattr(exc, "filename", None) or "output"

@@ -21,8 +21,8 @@ exceeds rhs by more than 1e-9:
 * ``sn_covariance`` (state or correlations):
   tr|X_su - v_a v_b^T| - (r-1) <= sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))
 * ``sn_reduction_map`` (state): rho_a (x) 1 - rho/r is positive
-  semidefinite; its rows hold the smallest eigenvalue, violated below
-  -1e-10
+  semidefinite, violated below -1e-10; only the rows a bisection
+  diagonalised, the deciding one among them, hold ``min_eigenvalue``
 
 ``compare_all`` builds the correlation data once, runs every criterion
 applicable to the state's dimensions and reports the best certified bound.
@@ -42,6 +42,7 @@ from .correlations import as_correlation_data, correlation_data, trace_norm
 from .states import (
     STRUCT_TOL,
     PureState,
+    _cholesky_psd,
     as_density,
     partial_trace,
 )
@@ -247,19 +248,24 @@ def sn_reduction_map(rho):
     """Positivity of rho_a (x) 1 - rho/r, violated only above Schmidt number r.
 
     r is violated when the smallest eigenvalue drops below -1e-10; the
-    margin is minus that eigenvalue. One partial trace and one broadcast
-    product serve every r; one stacked call diagonalises the operators.
+    margin is minus that eigenvalue. The operators grow with r, so the
+    violated rows are a prefix: bisection finds it, with a spectrum (the
+    row's ``min_eigenvalue``) only where the Cholesky test fails.
     """
     rho = as_density(rho)
-    rs = np.arange(1, min(rho.dim_a, rho.dim_b) + 1)
     rho_a = partial_trace(rho, "a")[:, None, :, None]
     base = (rho_a * np.eye(rho.dim_b)[:, None]).reshape(rho.dim, rho.dim)
-    eig_min = np.linalg.eigvalsh(base - rho.matrix / rs[:, None, None])[:, 0]
-    per_r = [{"r": int(r), "min_eigenvalue": float(e),
-              "violated": bool(e < -STRUCT_TOL)}
-             for r, e in zip(rs, eig_min)]
-    return _certificate("reduction_map", per_r,
-                        lambda row: -row["min_eigenvalue"])
+    dmin = min(rho.dim_a, rho.dim_b)
+    eig_min, top, clear = {}, 0, dmin + 1
+    while clear - top > 1:  # rows up to top are violated, from clear on not
+        r = (top + clear) // 2
+        op = base - rho.matrix / r
+        if not _cholesky_psd(op):
+            eig_min[r] = float(np.linalg.eigvalsh(op)[0])
+        top, clear = (r, clear) if eig_min.get(r, 0) < -STRUCT_TOL else (top, r)
+    per_r = [{"r": r, **({"min_eigenvalue": eig_min[r]} if r in eig_min else {}),
+              "violated": r <= top} for r in range(1, dmin + 1)]
+    return _certificate("reduction_map", per_r, lambda row: -row["min_eigenvalue"])
 
 
 def sn_covariance(state_or_corr):
@@ -301,10 +307,8 @@ def _fidelity_targets(rho):
 def compare_all(rho):
     """Run every applicable criterion and collect the certificates.
 
-    The correlation data is computed once and shared by the correlation
-    criteria. The fidelity entry is one witness over a stack of targets,
-    the embedded maximally entangled states and the dominant eigenvector
-    of the state, reporting the best target's certificate.
+    The correlation data is built once for the correlation criteria; the
+    fidelity entry is one witness over the ``_fidelity_targets`` stack.
     """
     rho = as_density(rho)
     corr = correlation_data(rho)

@@ -265,10 +265,10 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
                            workers=None, keep_samples=False):
     """Estimate moments, then certify with a k-sigma statistical back-off.
 
-    Every boundary comparison must clear its threshold by k_sigma
-    standard deviations of the compared quantity before it counts, so a
-    reported bound above 1 is wrong with probability roughly the
-    one-sided Gaussian tail at k_sigma.
+    Each boundary comparison must clear its threshold by k_sigma standard
+    deviations. The false-bound rate can exceed the one-sided Gaussian
+    tail: 3.7% against a nominal 2.28% for isotropic(5, 0.9) at k_sigma=2
+    and n_tot=1e3 (ROADMAP.md, open item 1 on the statistical certificate).
     """
     k_sigma = _check_real(k_sigma, "k_sigma")
     if k_sigma < 0:

@@ -101,6 +101,15 @@ def extended_basis(d):
 # state containers
 # ---------------------------------------------------------------------------
 
+def _cholesky_psd(mat):
+    """True when the Cholesky factorisation of ``mat + 1e-10 * I`` succeeds."""
+    try:
+        np.linalg.cholesky(mat + STRUCT_TOL * np.eye(len(mat)))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
 @dataclass
 class DensityMatrix:
     """Validated bipartite density matrix on C^{d_a} (x) C^{d_b}.
@@ -135,13 +144,10 @@ class DensityMatrix:
         if trace_dev > STRUCT_TOL:
             raise InvalidInputError(
                 f"matrix trace deviates from 1 by {trace_dev:.3e} > {STRUCT_TOL}")
-        try:
-            np.linalg.cholesky(mat + STRUCT_TOL * np.eye(n))
-        except np.linalg.LinAlgError:
-            eig_min = float(np.linalg.eigvalsh(mat)[0])
-            if eig_min < -STRUCT_TOL:
-                raise InvalidInputError("matrix is not positive semidefinite: "
-                                        f"min eigenvalue {eig_min:.3e}") from None
+        eig_min = 0.0 if _cholesky_psd(mat) else float(np.linalg.eigvalsh(mat)[0])
+        if eig_min < -STRUCT_TOL:
+            raise InvalidInputError("matrix is not positive semidefinite: "
+                                    f"min eigenvalue {eig_min:.3e}")
         mat.setflags(write=False)
         self.matrix = mat
 

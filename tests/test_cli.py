@@ -256,6 +256,28 @@ def test_linear_algebra_failure_exits_two(monkeypatch, capsys):
     assert err.strip() == "numerical failure: SVD did not converge"
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)",
+     "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+    ("", "out of memory"),
+])
+def test_memory_error_exits_one(monkeypatch, capsys, message, shown):
+    # stands in for numpy's allocation error on a huge --n; nothing large
+    # is allocated here
+    import dimcert.cli
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(dimcert.cli, "detect_with_confidence", fail)
+    code, out, err = run(capsys, "simulate", "--state", "isotropic",
+                         "--d", "3", "--p", "0.1", "--n", "1000000000000",
+                         "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: {shown}"
+
+
 def test_missing_state_file_exits_one(tmp_path, capsys):
     code, _, _ = run(capsys, "certify",
                      "--state-file", str(tmp_path / "absent.json"))

@@ -1,5 +1,7 @@
 """Exact Schmidt-number criteria and their certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,12 @@ from dimcert.criteria import (
 from dimcert.errors import InvalidInputError
 from dimcert.randsim import haar_unitary
 from dimcert.states import (
+    STRUCT_TOL,
     DensityMatrix,
     PureState,
     isotropic,
     max_entangled,
+    partial_trace,
     random_mixed,
     random_pure,
     rho_w,
@@ -173,6 +177,88 @@ def test_reduction_map_fixtures():
     assert not cert.details["per_r"][3 - 1]["violated"]
     cert = sn_reduction_map(_product_pure(3).to_density())
     assert not cert.details["per_r"][1 - 1]["violated"]
+
+
+def _reduction_map_reference(rho):
+    """The stacked-eigvalsh reduction map: (bound, margin, flags, eigenvalues)."""
+    rs = np.arange(1, min(rho.dim_a, rho.dim_b) + 1)
+    rho_a = partial_trace(rho, "a")[:, None, :, None]
+    base = (rho_a * np.eye(rho.dim_b)[:, None]).reshape(rho.dim, rho.dim)
+    eig_min = np.linalg.eigvalsh(base - rho.matrix / rs[:, None, None])[:, 0]
+    flags = [bool(e < -STRUCT_TOL) for e in eig_min]
+    violated = [r for r, flag in zip(rs, flags) if flag]
+    if not violated:
+        return 1, 0.0, flags, eig_min.tolist()
+    top = int(violated[-1])
+    return min(top + 1, len(rs)), -float(eig_min[top - 1]), flags, eig_min.tolist()
+
+
+def _rank_constrained_mixture(d, seed):
+    """A mixture of 2-4 pure states of Schmidt rank <= r, r drawn from 1..d."""
+    rng = np.random.default_rng([seed, d])
+    r = int(rng.integers(1, d + 1))
+    m = int(rng.integers(2, 5))
+    mat = sum(w * random_pure(d, d, seed=int(rng.integers(2**31)),
+                              schmidt_rank=int(rng.integers(1, r + 1)))
+              .to_density().matrix for w in rng.dirichlet(np.ones(m)))
+    return DensityMatrix(d, d, (mat + mat.conj().T) / 2)
+
+
+def _reduction_map_cases():
+    cases = [_rank_constrained_mixture(d, seed)
+             for d in range(2, 7) for seed in range(12)]
+    cases += [isotropic(d, p) for d in (3, 5, 6) for p in (0.0, 0.3, 0.6, 0.9)]
+    for da, db in ((2, 3), (3, 5), (4, 2)):
+        cases += [random_mixed(da, db, rank, seed)
+                  for rank in (1, 2, 4) for seed in range(3)]
+        cases += [random_pure(da, db, seed=seed).to_density()
+                  for seed in range(3)]
+    return cases + [rho_w(), max_entangled(4).to_density(), isotropic(3, 0)]
+
+
+@pytest.mark.parametrize("rho", _reduction_map_cases())
+def test_reduction_map_bisection_matches_stacked_reference(rho):
+    bound, margin, flags, eig_min = _reduction_map_reference(rho)
+    cert = sn_reduction_map(rho)
+    rows = cert.details["per_r"]
+    assert (cert.certified_lower_bound, cert.margin) == (bound, margin)
+    assert [row["violated"] for row in rows] == flags
+    assert [row["r"] for row in rows] == list(range(1, len(flags) + 1))
+    # the violated rows are a prefix
+    top = sum(flags)
+    assert flags == [True] * top + [False] * (len(flags) - top)
+    spectra = [row for row in rows if "min_eigenvalue" in row]
+    for row in spectra:
+        assert row["min_eigenvalue"] == eig_min[row["r"] - 1]
+    if top:
+        assert "min_eigenvalue" in rows[top - 1]
+    dmin = min(rho.dim_a, rho.dim_b)
+    assert len(spectra) <= math.ceil(math.log2(dmin + 1))
+
+
+def test_reduction_map_cases_reach_every_bound_at_d6():
+    # so the reference comparison above takes every branch of the bisection
+    bounds = {sn_reduction_map(rho).certified_lower_bound
+              for rho in _reduction_map_cases() if rho.dim_a == rho.dim_b == 6}
+    assert bounds == set(range(1, 7))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_reduction_map_product_state_computes_no_spectrum(d, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    rho = _product_pure(d).to_density()
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    cert = sn_reduction_map(rho)
+    assert cert.certified_lower_bound == 1 and cert.margin == 0.0
+    assert calls == []
+    assert all("min_eigenvalue" not in row for row in cert.details["per_r"])
+    assert [row["violated"] for row in cert.details["per_r"]] == [False] * d
 
 
 # --- covariance -----------------------------------------------------------
