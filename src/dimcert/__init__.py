@@ -12,6 +12,9 @@ plane.
 Start with :func:`compare_all` for exact certificates,
 :func:`estimate_moments` / :func:`detect_with_confidence` for the
 randomized route, and :func:`boundary_curve` for the geometry behind it.
+The package namespace holds the functions, the two state containers,
+``SchmidtCertificate`` and the exception classes; the other result types
+are importable from their modules.
 """
 
 from .errors import DimcertError, InvalidInputError, NumericalConsistencyError
@@ -22,21 +25,14 @@ from .states import (
     isotropic,
     max_entangled,
     partial_trace,
-    purity,
     random_mixed,
     random_pure,
     read_state_json,
     rho_w,
-    schmidt_coefficients,
     write_state_json,
 )
-from .correlations import (
-    CorrelationData,
-    correlation_data,
-    trace_norm,
-)
+from .correlations import correlation_data, trace_norm
 from .criteria import (
-    CertificateReport,
     SchmidtCertificate,
     compare_all,
     sn_ccnr,
@@ -46,15 +42,8 @@ from .criteria import (
     sn_trace_norm,
     sn_two_norm,
 )
-from .moments import (
-    MomentPair,
-    exact_moments,
-    moments_from_spectrum,
-    observable_m,
-    scaling_constants,
-)
+from .moments import exact_moments
 from .boundary import (
-    BoundaryCurve,
     boundary_curve,
     classify_point,
     endpoint,
@@ -65,10 +54,6 @@ from .boundary import (
     two_norm_line,
 )
 from .randsim import (
-    DetectionResult,
-    EstimatorResult,
-    NoiseToleranceResult,
-    PredictedVariance,
     analytic_noise_threshold,
     detect_with_confidence,
     estimate_moments,
@@ -82,21 +67,18 @@ __version__ = "0.1.0"
 __all__ = [
     "DimcertError", "InvalidInputError", "NumericalConsistencyError",
     "DensityMatrix", "PureState", "family_state", "isotropic",
-    "max_entangled", "partial_trace", "purity", "random_mixed",
-    "random_pure", "read_state_json", "rho_w", "schmidt_coefficients",
-    "write_state_json",
-    "CorrelationData", "correlation_data", "trace_norm",
-    "CertificateReport", "SchmidtCertificate", "compare_all",
+    "max_entangled", "partial_trace", "random_mixed", "random_pure",
+    "read_state_json", "rho_w", "write_state_json",
+    "correlation_data", "trace_norm",
+    "SchmidtCertificate", "compare_all",
     "sn_ccnr", "sn_covariance", "sn_fidelity", "sn_reduction_map",
     "sn_trace_norm", "sn_two_norm",
-    "MomentPair", "exact_moments", "moments_from_spectrum",
-    "observable_m", "scaling_constants",
-    "BoundaryCurve", "boundary_curve", "classify_point", "endpoint",
+    "exact_moments",
+    "boundary_curve", "classify_point", "endpoint",
     "lower_boundary", "numeric_min_oracle", "outer_boundary_d3",
     "region_scatter", "two_norm_line",
-    "DetectionResult", "EstimatorResult", "NoiseToleranceResult",
-    "PredictedVariance", "analytic_noise_threshold",
-    "detect_with_confidence", "estimate_moments", "haar_unitary",
-    "noise_tolerance", "predicted_variance",
+    "analytic_noise_threshold", "detect_with_confidence",
+    "estimate_moments", "haar_unitary", "noise_tolerance",
+    "predicted_variance",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .states import DERIVED_TOL, as_density, extended_basis, purity
+from .states import DERIVED_TOL, _purity, as_density, extended_basis
 
 IMAG_TOL = 1e-9
 
@@ -102,7 +102,7 @@ def _build_correlation_data(rho):
     vector_b = full[0, 1:] * np.sqrt(da)
     epsilon = np.linalg.svd(su, compute_uv=False)
     xi = np.linalg.svd(full, compute_uv=False)
-    pur = purity(rho.matrix)
+    pur = _purity(rho.matrix)
     if abs(float(np.sum(xi ** 2)) - pur) > DERIVED_TOL:
         raise NumericalConsistencyError(
             f"operator Schmidt values square-sum to {np.sum(xi ** 2):.12f} "

@@ -6,8 +6,9 @@ correlations, tests every r = 1..min(d_a, d_b), and returns a
 ``SchmidtCertificate`` whose ``details["per_r"]`` holds one row per r. Each
 test holds for all states of Schmidt number <= r, so the largest violated
 r certifies a lower bound of r + 1 on the entanglement dimensionality,
-and its row gives the margin. A row ``lhs <= rhs`` is violated when lhs
-exceeds rhs by more than 1e-9:
+and its row gives the margin. No state violates the last row, so a
+violated last row voids the certificate instead. A row ``lhs <= rhs`` is
+violated when lhs exceeds rhs by more than 1e-9:
 
 * ``sn_trace_norm`` (state or correlations):
   tr|X_su| - (r-1) <= sqrt((1-1/d_a)(1-1/d_b))
@@ -142,15 +143,19 @@ def _jsonable(obj):
 def _certificate(criterion_id, per_r, margin, **details):
     """One certificate from one row per r = 1..min(d_a, d_b), in increasing r.
 
-    The largest violated r sets the bound, r + 1 capped at min(d_a, d_b),
-    and ``margin(row)`` of its row gives the margin.
+    The largest violated r sets the bound r + 1, and ``margin(row)`` of its
+    row gives the margin. Every state satisfies the last row, so its
+    violation puts the input outside the state space: that voids the
+    certificate (bound 1, margin 0, ``details["outside_state_space"]``).
     """
     top = next((row for row in reversed(per_r) if row["violated"]), None)
     details = {"per_r": per_r, **details}
+    if top is not None and top["r"] == len(per_r):
+        details["outside_state_space"] = True
+        top = None
     if top is None:
         return SchmidtCertificate(criterion_id, 1, 0.0, details)
-    return SchmidtCertificate(criterion_id, min(top["r"] + 1, len(per_r)),
-                              margin(top), details)
+    return SchmidtCertificate(criterion_id, top["r"] + 1, margin(top), details)
 
 
 def _threshold(criterion_id, pairs, **details):
@@ -177,7 +182,7 @@ def sn_ccnr(state_or_corr):
     """Realignment-style criterion: the operator Schmidt values sum.
 
     The bound is the ceiling of the sum less 1e-9, so sums within 1e-9
-    above an integer round down, clamped to [1, min(d_a, d_b)].
+    above an integer round down; a sum above min(d_a, d_b) voids it.
     """
     corr = as_correlation_data(state_or_corr)
     s = float(np.sum(corr.xi))
@@ -232,9 +237,11 @@ def _fidelity(rho, vecs, labels, **details):
     # never decrease, so the violated rows are the first `top` ones
     sums = np.cumsum(lams, axis=1).tolist()
 
-    def rank(i):  # (bound, margin) of the certificate _threshold builds
+    def rank(i):  # (bound, margin) of the certificate _certificate builds
         top = sum(fids[i] > c + VIOLATION_TOL for c in sums[i])
-        return min(top + 1, len(sums[i])), fids[i] - sums[i][top - 1] if top else 0.0
+        if top in (0, len(sums[i])):
+            return 1, 0.0
+        return top + 1, fids[i] - sums[i][top - 1]
 
     i = max(range(len(vecs)), key=rank)
     target = {} if labels[i] is None else {"target": labels[i]}

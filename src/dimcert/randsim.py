@@ -8,10 +8,13 @@ local vectors a, b; one contraction sum(a * (X_su @ b), axis=0) follows:
 
 * "haar": the Bloch vectors of A = U M U^dag, B = V M V^dag for
   Haar-random unitaries U, V and the fixed probing observable M (odd d
-  only). The last (d-1)/2 eigenvalues of M are equal, so only the first
-  (d+1)/2 columns of U are drawn and orthonormalised (Gram-Schmidt,
-  exactly Haar), with the draws of a block along the last axis, and the
-  components come from elementwise products of those columns.
+  only). M is the traceless observable, unique up to conjugation, with
+  tr M^2 = d whose rotations estimate both moments; its spectrum has a
+  closed form. The last (d-1)/2 eigenvalues of M are equal, so only the
+  first (d+1)/2 columns of U are drawn and orthonormalised
+  (Gram-Schmidt, exactly Haar), with the draws of a block along the last
+  axis, and the components come from elementwise products of those
+  columns.
 * "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
@@ -32,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import InvalidInputError, _check_int, _check_real
+from .errors import (
+    InvalidInputError, NumericalConsistencyError, _check_int, _check_real)
 from .boundary import classify_point
 from .correlations import correlation_data
-from .moments import exact_moments, observable_m, scaling_constants
+from .moments import exact_moments
 from .states import _haar_unitaries, as_density, as_rng, extended_basis, isotropic
 
 BLOCK = 4096
@@ -63,16 +67,19 @@ __all__ = [
 
 
 def _resolve_workers(workers):
-    if workers is None:
-        env = os.environ.get("DIMCERT_THREADS")
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidInputError(
-                f"DIMCERT_THREADS must be a positive integer, got {env!r}")
-    return _check_int(workers, "workers")
+    if workers is not None:
+        return _check_int(workers, "workers")
+    env = os.environ.get("DIMCERT_THREADS")
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidInputError(
+            f"DIMCERT_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _block_rng(seed, namespace, block):
@@ -83,6 +90,55 @@ def _block_rng(seed, namespace, block):
 def haar_unitary(d, rng):
     """One Haar-distributed d x d unitary from a Generator or a seed."""
     return _haar_unitaries((), _check_int(d, "d"), as_rng(rng)).T
+
+
+def _observable_m(d):
+    """Spectrum of the probing observable M as a read-only array; odd d >= 3.
+
+    Only Haar rotations U M U^dag are ever measured, so the eigenvalues
+    are all there is to store. They are (d-1)/2 copies of alpha_plus, one
+    beta and (d-1)/2 copies of alpha_minus, built from the positive root y
+    of a quartic trace condition. tr M = 0 and tr M^2 = d hold by
+    construction and are re-checked to 1e-10.
+    """
+    d = _check_int(d, "odd d", 3)
+    if d % 2 == 0:
+        raise InvalidInputError(
+            f"the probing observable exists only for odd d >= 3, got {d!r}")
+    y = 0.5 * (1 - math.sqrt(
+        1 + (d + 3 + math.sqrt(d ** 3 + 3 * d * d + d + 3)) / (d - 2)))
+    t = (2 * y - 1) ** 2
+    denom = math.sqrt((d - 1) * (t + d))
+    alpha_p = (d - 2 * y + 1) / denom
+    alpha_m = (-d - 2 * y + 1) / denom
+    beta = -math.sqrt((d - 1) * t / (t + d))
+    half = (d - 1) // 2
+    eigs = np.array([alpha_p] * half + [beta] + [alpha_m] * half)
+    if abs(eigs.sum()) > 1e-10 or abs(np.sum(eigs ** 2) - d) > 1e-10:
+        raise NumericalConsistencyError(
+            "probing observable failed its trace normalisation checks")
+    eigs.flags.writeable = False
+    return eigs
+
+
+def _sampling_path(d, path):
+    """The probing spectrum of ``path`` and its estimator constants (c2, c4).
+
+    s2_hat = c2 mean(x^2) and s4_hat = c4 mean(x^4). The spectrum is
+    None on the Bloch path. A Haar-rotated observable has a local Bloch
+    vector of squared norm tr M^2 = d, so each Bloch constant is d^2
+    times (c2) or d^4 times (c4) its Haar one. This is the one place an
+    unknown path is rejected.
+    """
+    if path == "haar":
+        m_eigs, scale = _observable_m(d), 1
+    elif path == "bloch":
+        m_eigs, scale = None, d * d
+    else:
+        raise InvalidInputError(f"unknown path {path!r}; use 'haar' or 'bloch'")
+    c2 = scale * (d + 1) ** 2
+    c4 = scale ** 2 * (d + 1) ** 2 * (d * d + 1) ** 2 / (9 * (d - 1) ** 2)
+    return m_eigs, float(c2), float(c4)
 
 
 def _local_vectors(d, m_eigs, m, rng):
@@ -118,14 +174,8 @@ def _local_vectors(d, m_eigs, m, rng):
     return vecs.reshape(-1, 2, m)
 
 
-def _sample_x(rho, n_tot, seed, path, workers, namespace):
+def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     d = rho.dim_a
-    if path == "haar":
-        m_eigs = observable_m(d)
-    elif path == "bloch":
-        m_eigs = None
-    else:
-        raise InvalidInputError(f"unknown path {path!r}; use 'haar' or 'bloch'")
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
     x = np.empty(n_tot)
@@ -186,9 +236,8 @@ def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
     n_tot = _check_int(n_tot, "n_tot", MIN_SAMPLES)
     seed = _check_int(seed, "seed", 0, _MAX_SEED)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
-    d = rho.dim_a
-    x = _sample_x(rho, n_tot, seed, path, workers, _NS_MAIN)
-    c2, c4 = scaling_constants(d, path)
+    m_eigs, c2, c4 = _sampling_path(rho.dim_a, path)
+    x = _sample_x(rho, n_tot, seed, m_eigs, workers, _NS_MAIN)
     x2 = x * x
     x4 = x2 * x2
     s2 = c2 * float(np.mean(x2))
@@ -229,12 +278,11 @@ def predicted_variance(rho, n_tot, seed=0, path="haar",
     m8_samples = _check_int(m8_samples, "m8_samples", 10_000)
     seed = _check_int(seed, "seed", 0, _MAX_SEED)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
-    d = rho.dim_a
-    c2, c4 = scaling_constants(d, path)
+    m_eigs, c2, c4 = _sampling_path(rho.dim_a, path)
     pair = exact_moments(rho)
     m2 = pair.s2 / c2
     m4 = pair.s4 / c4
-    x = _sample_x(rho, m8_samples, seed, path, workers, _NS_EIGHTH)
+    x = _sample_x(rho, m8_samples, seed, m_eigs, workers, _NS_EIGHTH)
     x8 = x ** 8
     m8 = float(np.mean(x8))
     m8_err = float(np.std(x8, ddof=1)) / math.sqrt(len(x8))
@@ -266,9 +314,12 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     """Estimate moments, then certify with a k-sigma statistical back-off.
 
     Each boundary comparison must clear its threshold by k_sigma standard
-    deviations. The false-bound rate can exceed the one-sided Gaussian
-    tail: 3.7% against a nominal 2.28% for isotropic(5, 0.9) at k_sigma=2
-    and n_tot=1e3 (ROADMAP.md, open item 1 on the statistical certificate).
+    deviations, and an estimate past the row r = d, outside the state
+    space, certifies nothing. At k_sigma=2 and n_tot=1e3 the measured
+    false-bound rates are 0 of 2000 runs for isotropic(5, 0.9), 1.3% of
+    3000 for isotropic(3, 3/8) and 0.37% of 3000 for isotropic(5, 5/8),
+    against a nominal one-sided tail of 2.28%; states off the isotropic
+    line are not measured yet (ROADMAP.md, open item 1).
     """
     k_sigma = _check_real(k_sigma, "k_sigma")
     if k_sigma < 0:

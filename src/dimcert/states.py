@@ -1,10 +1,10 @@
 """Bipartite qudit states and the local operator basis.
 
 Provides the generalized Gell-Mann basis, validated density-matrix and
-pure-state containers, partial traces, Schmidt coefficients, the named
-states used throughout (maximally entangled, isotropic, the bound-exploring
-families A-D, the rank-2 Schmidt-number-3 state ``rho_w``), seeded random
-state generators, and a small JSON file format for density matrices.
+pure-state containers, partial traces, the named states used throughout
+(maximally entangled, isotropic, the bound-exploring families A-D, the
+rank-2 Schmidt-number-3 state ``rho_w``), seeded random state
+generators, and a small JSON file format for density matrices.
 
 Conventions
 -----------
@@ -40,8 +40,6 @@ __all__ = [
     "PureState",
     "extended_basis",
     "partial_trace",
-    "purity",
-    "schmidt_coefficients",
     "max_entangled",
     "isotropic",
     "rho_w",
@@ -54,10 +52,21 @@ __all__ = [
 
 
 def as_rng(seed):
-    """Return a numpy Generator from a seed, sequence seed, or Generator."""
+    """A numpy Generator from a seed, sequence seed, Generator or None.
+
+    Seeds go to ``np.random.default_rng`` unchanged; what it refuses, and
+    bool, raise InvalidInputError.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    if not isinstance(seed, bool):
+        try:
+            return np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidInputError(
+        "seed must be a nonnegative integer, a sequence of them, a "
+        f"Generator or None, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +245,10 @@ def partial_trace(rho, keep):
     raise InvalidInputError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
-def purity(mat):
+def _purity(mat):
     """tr(m^2) of a Hermitian matrix, as a real float."""
     m = np.asarray(mat)
     return float(np.einsum("ij,ji->", m, m).real)
-
-
-def schmidt_coefficients(psi):
-    """Schmidt coefficients (squared Schmidt values) of a pure state.
-
-    Returns them sorted descending; they sum to 1 within 1e-9.
-    """
-    if not isinstance(psi, PureState):
-        raise InvalidInputError("schmidt_coefficients expects a PureState")
-    svals = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
-    lam = np.sort(svals ** 2)[::-1]
-    if abs(lam.sum() - 1.0) > DERIVED_TOL:
-        raise InvalidInputError(
-            f"Schmidt coefficients sum to {lam.sum():.12f}, expected 1")
-    return lam
 
 
 # ---------------------------------------------------------------------------

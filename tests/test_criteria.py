@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dimcert.boundary import classify_point
 from dimcert.correlations import CorrelationData, correlation_data
 from dimcert.criteria import (
     SchmidtCertificate,
@@ -97,6 +98,26 @@ def test_ccnr_boundary_rounding_is_conservative():
     cert = sn_ccnr(corr)
     assert cert.certified_lower_bound == 2
     assert [row["violated"] for row in cert.details["per_r"]] == [True, False]
+
+
+def test_violated_last_row_voids_the_certificate():
+    # no state has operator Schmidt values summing above min(d_a, d_b), nor
+    # S2 beyond the last endpoint (d + 1)^2, so those points are void
+    xi = np.array([2.5, 0.5, 0.0, 0.0])
+    corr = CorrelationData(
+        dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
+        vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
+        xi=xi)
+    for cert in (sn_ccnr(corr), classify_point(17.0, 100.0, 3),
+                 classify_point(17.0, 100.0, 3, std_s2=0.1, std_s4=0.1,
+                                k_sigma=2.0)):
+        assert [row["violated"] for row in cert.details["per_r"]][-1]
+        assert (cert.certified_lower_bound, cert.margin) == (1, 0.0)
+        assert cert.details["outside_state_space"] is True
+    # valid states never carry the flag
+    for rho in (rho_w(), max_entangled(3).to_density(), isotropic(3, 0.2)):
+        for cert in compare_all(rho).certificates:
+            assert "outside_state_space" not in cert.details
 
 
 def test_ccnr_rejects_malformed_value_arrays():

@@ -1,17 +1,11 @@
-"""Moment pairs, their cone, and the probing observable."""
+"""Moment pairs, their cone, and the sampling paths' observable and constants."""
 
 import numpy as np
 import pytest
 
-from dimcert.correlations import correlation_data
 from dimcert.errors import InvalidInputError
-from dimcert.moments import (
-    MomentPair,
-    exact_moments,
-    moments_from_spectrum,
-    observable_m,
-    scaling_constants,
-)
+from dimcert.moments import MomentPair, exact_moments
+from dimcert.randsim import _observable_m, _sampling_path
 from dimcert.states import (
     isotropic,
     max_entangled,
@@ -80,16 +74,6 @@ def test_cone_holds_on_random_states():
                 idx += 1
 
 
-def test_spectrum_route_matches_state_route():
-    for seed in range(10):
-        rho = random_mixed(3, 3, 3, seed=seed)
-        pair_a = exact_moments(rho)
-        eps = correlation_data(rho).epsilon
-        pair_b = moments_from_spectrum(eps, 3)
-        assert abs(pair_a.s2 - pair_b.s2) < 1e-12
-        assert abs(pair_a.s4 - pair_b.s4) < 1e-12
-
-
 def test_rank_one_su_blocks_touch_the_upper_cone_edge():
     # a single nonzero singular value forces s4 = s2^2; the noisy
     # projector family has exactly that structure for every p
@@ -97,25 +81,25 @@ def test_rank_one_su_blocks_touch_the_upper_cone_edge():
     for p in (0.1, 0.5, 0.9, 1.0):
         pair = exact_moments(family_state("A", p))
         assert abs(pair.s4 - pair.s2 ** 2) < 1e-9
-    pair = moments_from_spectrum(np.array([0.4]), 3)
-    assert abs(pair.s4 - pair.s2 ** 2) < 1e-12
 
 
 def test_scaling_constants_fixtures():
-    c2, c4 = scaling_constants(3, "haar")
+    eigs, c2, c4 = _sampling_path(3, "haar")
+    assert np.array_equal(eigs, _observable_m(3))
     assert c2 == 16.0
     assert abs(c4 - 400 / 9) < 1e-12
-    c2b, c4b = scaling_constants(3, "bloch")
+    eigs, c2b, c4b = _sampling_path(3, "bloch")
+    assert eigs is None
     assert c2b == 144.0
     assert abs(c4b - 3600.0) < 1e-9
+    with pytest.raises(InvalidInputError, match="unknown path"):
+        _sampling_path(3, "fourier")
     with pytest.raises(InvalidInputError):
-        scaling_constants(3, "fourier")
-    with pytest.raises(InvalidInputError):
-        scaling_constants(1, "haar")
+        _sampling_path(1, "haar")
 
 
 def test_observable_m_qutrit_spectrum():
-    eigs = observable_m(3)
+    eigs = _observable_m(3)
     expect = np.array([1.14813856, -1.28914507, 0.14100650])
     assert np.allclose(np.sort(eigs), np.sort(expect), atol=1e-7)
     assert not eigs.flags.writeable
@@ -123,7 +107,7 @@ def test_observable_m_qutrit_spectrum():
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_observable_m_trace_conditions(d):
-    eigs = observable_m(d)
+    eigs = _observable_m(d)
     assert len(eigs) == d
     assert abs(np.sum(eigs)) < 1e-10
     assert abs(np.sum(eigs ** 2) - d) < 1e-10
@@ -132,7 +116,7 @@ def test_observable_m_trace_conditions(d):
 @pytest.mark.parametrize("d", [2, 4, 6, 1])
 def test_observable_m_even_dimensions_rejected(d):
     with pytest.raises(InvalidInputError, match="odd"):
-        observable_m(d)
+        _observable_m(d)
 
 
 def test_rho_w_moments_inside_cone():

@@ -5,11 +5,13 @@ import pytest
 
 from dimcert.correlations import _basis_matrix
 from dimcert.errors import InvalidInputError
-from dimcert.moments import exact_moments, observable_m, scaling_constants
+from dimcert.moments import exact_moments
 from dimcert.randsim import (
     _NS_MAIN,
     _block_rng,
     _local_vectors,
+    _observable_m,
+    _sampling_path,
     analytic_noise_threshold,
     detect_with_confidence,
     estimate_moments,
@@ -134,7 +136,7 @@ def test_gram_schmidt_unitary_over_a_million_draws(d):
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_truncated_local_vectors_match_full_projection(d):
     # (d+1)/2 orthonormal columns give the su(d) part of U M U^dag exactly
-    m_eigs = observable_m(d)
+    m_eigs = _observable_m(d)
     vecs = _local_vectors(d, m_eigs, 300, np.random.default_rng(d))
     u = _as_matrices(_haar_unitaries((2 * 300,), d, np.random.default_rng(d)))
     rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
@@ -152,7 +154,7 @@ def test_haar_local_vectors_are_isotropic(d):
     n, draws = d * d - 1, 2 ** 16
     rng = np.random.default_rng(40 + d)
     a = np.concatenate([
-        _local_vectors(d, observable_m(d), draws // 8, rng).reshape(n, -1)
+        _local_vectors(d, _observable_m(d), draws // 8, rng).reshape(n, -1)
         for _ in range(4)], axis=1)
     mean = a @ a.T / draws
     se = np.sqrt(np.maximum((a * a) @ (a * a).T / draws - mean ** 2, 0)
@@ -172,7 +174,7 @@ def test_haar_samples_match_kron_reference(rho):
     x = estimate_moments(rho, n, seed, path="haar", keep_samples=True).samples
     u = _as_matrices(_haar_unitaries((2 * n,), d,
                                      _block_rng(seed, _NS_MAIN, 0)))
-    m = np.diag(observable_m(d))
+    m = np.diag(_observable_m(d))
     ref = [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
                                          b @ m @ b.conj().T)).real
            for a, b in zip(u[:n], u[n:])]
@@ -218,6 +220,15 @@ def test_estimate_env_thread_override(monkeypatch):
     assert a.s2 == b.s2 and a.s4 == b.s4
 
 
+@pytest.mark.parametrize("env", ["0", "-2", "abc", "1.5"])
+def test_bad_env_thread_count_names_the_variable(monkeypatch, env):
+    monkeypatch.setenv("DIMCERT_THREADS", env)
+    with pytest.raises(InvalidInputError,
+                       match=f"DIMCERT_THREADS must be a positive integer, "
+                             f"got '{env}'"):
+        estimate_moments(me3(), 500, seed=3)
+
+
 def test_estimate_handles_partial_final_block():
     # 5000 is not a multiple of the internal block size
     res = estimate_moments(me3(), 5000, seed=17, keep_samples=True)
@@ -260,7 +271,7 @@ def test_scaling_constants_route():
     # estimate on raw x-moments times the constants must equal the
     # reported s2 (same arithmetic path, consistency check)
     res = estimate_moments(me3(), 4000, seed=2, keep_samples=True)
-    c2, _ = scaling_constants(3, "haar")
+    _, c2, _ = _sampling_path(3, "haar")
     m2 = float(np.mean(res.samples ** 2))
     assert abs(c2 * m2 - res.s2) < 1e-12
 
@@ -332,6 +343,24 @@ def test_detection_result_serializes():
     d = det.to_dict()
     assert d["estimate"]["n_samples"] == 1000
     assert d["certificate"]["criterion_id"] == "moments"
+
+
+@pytest.mark.parametrize("d,p,schmidt_number,runs,max_rate", [
+    (5, 0.9, 1, 2000, 0.0328),
+    (3, 3 / 8, 2, 3000, 0.0309),
+], ids=["separable-iso5", "sn2-iso3"])
+def test_false_bound_rate_within_nominal_tail(d, p, schmidt_number, runs,
+                                              max_rate):
+    # Haar path, k=2, N=1e3: the nominal one-sided tail is 2.28%, and
+    # max_rate adds three standard errors of a rate over `runs` seeds.
+    # Both states lie on the lower boundary of every region r >= their
+    # Schmidt number. A violated row r = d, which no state can reach,
+    # puts the estimate outside the state space and certifies nothing
+    rho = isotropic(d, p)
+    false = sum(
+        detect_with_confidence(rho, 1000, 2.0, seed).certificate
+        .certified_lower_bound > schmidt_number for seed in range(runs))
+    assert false <= max_rate * runs
 
 
 # --- noise thresholds -----------------------------------------------------

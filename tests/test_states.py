@@ -13,13 +13,12 @@ from dimcert.states import (
     family_state,
     isotropic,
     max_entangled,
+    _purity,
     partial_trace,
-    purity,
     random_mixed,
     random_pure,
     read_state_json,
     rho_w,
-    schmidt_coefficients,
     write_state_json,
 )
 
@@ -162,27 +161,18 @@ def test_partial_trace_of_product_state():
 def test_max_entangled_marginals_maximally_mixed(d):
     rho = max_entangled(d).to_density()
     assert np.allclose(partial_trace(rho, "a"), np.eye(d) / d, atol=1e-12)
-    assert abs(purity(partial_trace(rho, "a")) - 1 / d) < 1e-12
+    assert abs(_purity(partial_trace(rho, "a")) - 1 / d) < 1e-12
 
 
 def test_max_entangled_embedding_and_validation():
     psi = max_entangled(2, 4)
-    lam = schmidt_coefficients(psi)
+    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
     assert np.allclose(lam[:2], [0.5, 0.5], atol=1e-12)
     assert np.allclose(lam[2:], 0, atol=1e-12)
     with pytest.raises(InvalidInputError):
         max_entangled(5, 3)
     with pytest.raises(InvalidInputError):
         max_entangled(0)
-
-
-def test_schmidt_coefficients_two_term_state():
-    lam = 0.7
-    vec = np.zeros(9, dtype=complex)
-    vec[0] = np.sqrt(lam)
-    vec[4] = np.sqrt(1 - lam)
-    coeffs = schmidt_coefficients(PureState(3, 3, vec))
-    assert np.allclose(coeffs, [0.7, 0.3, 0.0], atol=1e-12)
 
 
 def test_isotropic_limits_and_validation():
@@ -233,7 +223,7 @@ def test_family_unknown_label():
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_random_pure_schmidt_rank_control(rank):
     psi = random_pure(3, 3, seed=11, schmidt_rank=rank)
-    lam = schmidt_coefficients(psi)
+    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
     assert np.sum(lam > 1e-12) == rank
 
 
