@@ -140,22 +140,31 @@ def _jsonable(obj):
     return obj
 
 
+def _verdict(violated, margin):
+    """(bound, margin, void) from the violated flags of rows r = 1, 2, ...
+
+    The largest violated r sets the bound r + 1 and ``margin(r)`` the
+    margin. Every state satisfies the last row, so its violation puts the
+    input outside the state space and voids the certificate: (1, 0.0, True).
+    """
+    top = max((r for r, v in enumerate(violated, 1) if v), default=0)
+    if top == len(violated):
+        return 1, 0.0, True
+    return (top + 1, margin(top), False) if top else (1, 0.0, False)
+
+
 def _certificate(criterion_id, per_r, margin, **details):
     """One certificate from one row per r = 1..min(d_a, d_b), in increasing r.
 
-    The largest violated r sets the bound r + 1, and ``margin(row)`` of its
-    row gives the margin. Every state satisfies the last row, so its
-    violation puts the input outside the state space: that voids the
-    certificate (bound 1, margin 0, ``details["outside_state_space"]``).
+    ``_verdict`` reads the bound off the rows, ``margin(row)`` gives the
+    margin, and a void sets ``details["outside_state_space"]``.
     """
-    top = next((row for row in reversed(per_r) if row["violated"]), None)
+    bound, value, void = _verdict([row["violated"] for row in per_r],
+                                  lambda r: margin(per_r[r - 1]))
     details = {"per_r": per_r, **details}
-    if top is not None and top["r"] == len(per_r):
+    if void:
         details["outside_state_space"] = True
-        top = None
-    if top is None:
-        return SchmidtCertificate(criterion_id, 1, 0.0, details)
-    return SchmidtCertificate(criterion_id, top["r"] + 1, margin(top), details)
+    return SchmidtCertificate(criterion_id, bound, value, details)
 
 
 def _threshold(criterion_id, pairs, **details):
@@ -233,15 +242,12 @@ def _fidelity(rho, vecs, labels, **details):
     lams = np.linalg.svd(vecs.reshape(-1, rho.dim_a, rho.dim_b),
                          compute_uv=False) ** 2
     fids = [float(np.real(vec.conj() @ rho.matrix @ vec)) for vec in vecs]
-    # one summed Schmidt coefficient per r = 1..min(d_a, d_b); the sums
-    # never decrease, so the violated rows are the first `top` ones
+    # one summed Schmidt coefficient per r = 1..min(d_a, d_b)
     sums = np.cumsum(lams, axis=1).tolist()
 
     def rank(i):  # (bound, margin) of the certificate _certificate builds
-        top = sum(fids[i] > c + VIOLATION_TOL for c in sums[i])
-        if top in (0, len(sums[i])):
-            return 1, 0.0
-        return top + 1, fids[i] - sums[i][top - 1]
+        return _verdict([fids[i] > c + VIOLATION_TOL for c in sums[i]],
+                        lambda r: fids[i] - sums[i][r - 1])[:2]
 
     i = max(range(len(vecs)), key=rank)
     target = {} if labels[i] is None else {"target": labels[i]}

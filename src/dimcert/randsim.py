@@ -49,6 +49,8 @@ _SAMPLING = "randomized moment estimation"
 _NS_MAIN = 0
 _NS_EIGHTH = 1
 _MAX_SEED = 2 ** 64 - 1
+# detections per noise_tolerance probe while its estimate stays void
+_MAX_DRAWS = 16
 
 __all__ = [
     "BLOCK",
@@ -381,19 +383,26 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar",
 
     Each probe runs a fresh detection on isotropic(d, p) with a
     derived sub-seed; the bracket [certified, uncertified] narrows to
-    1e-3. The analytic threshold rides along for comparison.
+    1e-3. An estimate outside the state space (a void certificate) says
+    nothing about p, so that probe is drawn again with a further sub-seed,
+    up to _MAX_DRAWS times; every draw is kept in ``evaluations``, a void
+    one with bound 1. The analytic threshold rides along for comparison.
     """
     seed = _check_int(seed, "seed", 0, _MAX_SEED)
     analytic = analytic_noise_threshold(d, target_bound)
     evaluations = []
 
     def certified(p, step):
-        sub = int(np.random.SeedSequence([seed, step]).generate_state(1)[0])
-        res = detect_with_confidence(isotropic(int(d), p), n_tot, k_sigma,
-                                     sub, path=path, workers=workers)
-        bound = res.certificate.certified_lower_bound
-        evaluations.append((p, bound))
-        return bound >= target_bound
+        for draw in range(_MAX_DRAWS):
+            entropy = [seed, step, draw] if draw else [seed, step]
+            sub = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+            cert = detect_with_confidence(
+                isotropic(int(d), p), n_tot, k_sigma, sub, path=path,
+                workers=workers).certificate
+            evaluations.append((p, cert.certified_lower_bound))
+            if not cert.details.get("outside_state_space"):
+                break
+        return cert.certified_lower_bound >= target_bound
 
     if not certified(0.0, 0):
         sim = 0.0

@@ -174,7 +174,7 @@ def test_scatter_seeded_rerun_identical(capsys):
 
 def test_noise_tolerance_small_run(capsys):
     code, out, _ = run(capsys, "noise-tolerance", "--d", "3", "--r", "3",
-                       "--n", "1000", "--seed", "2", "--k", "2")
+                       "--n", "1000", "--seed", "2", "--k", "1")
     assert code == 0
     res = json.loads(out)["result"]
     assert res["analytic_threshold"] == 0.375

@@ -1,6 +1,7 @@
 """Exact Schmidt-number criteria and their certificates."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from dimcert.boundary import classify_point
 from dimcert.correlations import CorrelationData, correlation_data
 from dimcert.criteria import (
     SchmidtCertificate,
+    _fidelity,
     _fidelity_targets,
+    _verdict,
     compare_all,
     sn_ccnr,
     sn_covariance,
@@ -118,6 +121,30 @@ def test_violated_last_row_voids_the_certificate():
     for rho in (rho_w(), max_entangled(3).to_density(), isotropic(3, 0.2)):
         for cert in compare_all(rho).certificates:
             assert "outside_state_space" not in cert.details
+
+
+def test_verdict_reads_the_largest_violated_row():
+    def margin(r):
+        return 0.1 * r
+    assert _verdict([False, False, False], margin) == (1, 0.0, False)
+    assert _verdict([True, False, False], margin) == (2, 0.1, False)
+    assert _verdict([False, True, False], margin) == (3, 0.2, False)
+    assert _verdict([True, True, True], margin) == (1, 0.0, True)
+
+
+def test_fidelity_ranks_targets_by_the_certificate_rule():
+    # trace 1.2 puts the overlap with phi+ above 1, the last row, so that
+    # target is void and the target certifying 2 must win the ranking
+    phi = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    tilted = np.array([math.sqrt(0.9), 0, 0, math.sqrt(0.1)])
+    rho = SimpleNamespace(dim_a=2, dim_b=2, matrix=1.2 * np.outer(phi, phi))
+    cert = _fidelity(rho, np.stack([phi, tilted]), ["phi", "tilted"])
+    assert cert.certified_lower_bound == 2
+    assert cert.details["target"] == "tilted"
+    assert "outside_state_space" not in cert.details
+    void = _fidelity(rho, phi[None], ["phi"])
+    assert void.certified_lower_bound == 1
+    assert void.details["outside_state_space"] is True
 
 
 def test_ccnr_rejects_malformed_value_arrays():

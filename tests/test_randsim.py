@@ -401,6 +401,15 @@ def test_noise_tolerance_bisection():
     assert ps[0] == 0.0 and ps[1] == 1.0
 
 
+def test_noise_tolerance_redraws_void_probes():
+    # at k=1 the first three p=0 estimates of this seed fall outside the
+    # state space; each is drawn again instead of ending the bisection
+    res = noise_tolerance(3, 3, n_tot=1000, k_sigma=1.0, seed=2)
+    assert res.evaluations[:4] == [(0.0, 1)] * 3 + [(0.0, 3)]
+    assert res.evaluations[4][0] == 1.0
+    assert 0.3 < res.simulated_threshold <= res.analytic_threshold
+
+
 def test_noise_tolerance_deterministic():
     a = noise_tolerance(3, 2, n_tot=1500, k_sigma=1.0, seed=3)
     b = noise_tolerance(3, 2, n_tot=1500, k_sigma=1.0, seed=3)
