@@ -40,10 +40,16 @@ from .errors import (
 from .boundary import classify_point
 from .correlations import correlation_data
 from .moments import exact_moments
-from .states import _haar_unitaries, as_density, as_rng, extended_basis, isotropic
+from .states import (
+    _gram_schmidt, _haar_unitaries, as_density, as_rng, extended_basis,
+    isotropic)
 
 BLOCK = 4096
 MIN_SAMPLES = 100
+# a block runs in power-of-two chunks of at most this many bytes of local
+# vectors, so that a chunk's normals, vectors and temporaries stay in a
+# core's L2 (chunks of 4096, 1024 and 512 draws at d = 3, 5 and 7)
+_CHUNK_BYTES = 2 ** 19
 
 _SAMPLING = "randomized moment estimation"
 _NS_MAIN = 0
@@ -143,27 +149,40 @@ def _sampling_path(d, path):
     return m_eigs, float(c2), float(c4)
 
 
-def _local_vectors(d, m_eigs, m, rng):
-    """Two stacks of m local su(d) vectors, shape (d^2 - 1, 2, m).
+def _normals(d, m_eigs, m, rng):
+    """One block's normals for m draws of both stacks, chunkable on the last axis.
 
-    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": entry
-    g is tr(A g) for A = U M U^dag = sum_{j<k} c_j u_j u_j^dag + m_last I,
-    c_j = m_j - m_last, so |a|^2 = tr M^2 = d. Row a of A right of its
-    diagonal gives the symmetric and antisymmetric components sqrt(2) Re
-    and -sqrt(2) Im; the diagonal meets the diagonal generators.
+    "bloch": the (2, m, d^2 - 1) draw seen as (d^2 - 1, 2, m). "haar": the
+    first k columns of 2m unitaries, drawn as ``_haar_unitaries`` draws
+    them and seen as (k, d, 2, m), where the trailing run of eigenvalues
+    equal to m_last starts at k.
     """
     if m_eigs is None:
-        raw = rng.standard_normal((2, m, d * d - 1))
-        raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-        return raw.transpose(2, 0, 1)
-    # the trailing run of eigenvalues equal to m_last starts at k
+        return rng.standard_normal((2, m, d * d - 1)).transpose(2, 0, 1)
     k = int(np.argmax(m_eigs == m_eigs[-1]))
-    u = _haar_unitaries((2 * m,), d, rng, columns=k)
+    raw = rng.standard_normal((k, d, 2 * m, 2)).view(np.complex128)
+    return raw.reshape(k, d, 2, m)
+
+
+def _local_vectors(d, m_eigs, z):
+    """The local su(d) vectors of a chunk of normals, shape (d^2 - 1, 2, m).
+
+    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": z
+    is orthonormalised in place, and entry g is tr(A g) for A = U M U^dag
+    = sum_{j<k} c_j u_j u_j^dag + m_last I, c_j = m_j - m_last, so
+    |a|^2 = tr M^2 = d. Row a of A right of its diagonal gives the
+    symmetric and antisymmetric components sqrt(2) Re and -sqrt(2) Im;
+    the diagonal meets the diagonal generators.
+    """
+    if m_eigs is None:
+        return z / np.linalg.norm(z, axis=0)
+    k, m = z.shape[0], z.shape[-1]
+    u = _gram_schmidt(z)
     # row a of cu * u is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
-    cu = u.conj() * (m_eigs[:k] - m_eigs[-1])[:, None, None]
+    cu = u.conj() * (m_eigs[:k] - m_eigs[-1])[:, None, None, None]
     half = d * (d - 1) // 2
-    vecs = np.empty((d * d - 1, 2 * m))
-    diag = np.empty((d, 2 * m))
+    vecs = np.empty((d * d - 1, 2, m))
+    diag = np.empty((d, 2, m))
     for a in range(d):
         row = (cu[:, a:a + 1] * u[:, a:]).sum(axis=0)
         lo = a * (2 * d - a - 1) // 2
@@ -172,22 +191,26 @@ def _local_vectors(d, m_eigs, m, rng):
         vecs[lo:hi] = math.sqrt(2) * row[1:].real
         vecs[half + lo:half + hi] = math.sqrt(2) * row[1:].imag
     gens = np.diagonal(extended_basis(d)[2 * half + 1:], axis1=1, axis2=2)
-    vecs[2 * half:] = gens.real @ diag
-    return vecs.reshape(-1, 2, m)
+    vecs[2 * half:] = (gens.real @ diag.reshape(d, -1)).reshape(d - 1, 2, m)
+    return vecs
 
 
 def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     d = rho.dim_a
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
+    chunk = BLOCK
+    while chunk > 64 and 16 * (d * d - 1) * chunk > _CHUNK_BYTES:
+        chunk //= 2
     x = np.empty(n_tot)
 
     def run_block(b):
-        start = b * BLOCK
-        stop = min(start + BLOCK, n_tot)
-        vecs = _local_vectors(d, m_eigs, stop - start,
-                              _block_rng(seed, namespace, b))
-        x[start:stop] = np.sum(vecs[:, 0] * (x_su @ vecs[:, 1]), axis=0)
+        out = x[b * BLOCK:(b + 1) * BLOCK]
+        z = _normals(d, m_eigs, len(out), _block_rng(seed, namespace, b))
+        for lo in range(0, len(out), chunk):
+            vecs = _local_vectors(d, m_eigs, z[..., lo:lo + chunk])
+            out[lo:lo + chunk] = np.sum(vecs[:, 0] * (x_su @ vecs[:, 1]),
+                                        axis=0)
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:

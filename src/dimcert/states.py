@@ -386,16 +386,25 @@ def _haar_unitaries(shape, d, rng, columns=None):
     """Haar-random d x d unitaries stacked to ``shape``, as ``(k, d, *shape)``.
 
     Column j of every unitary sits at ``[j]``, so the long stack axes come
-    last. Modified Gram-Schmidt on the columns of a complex Ginibre stack
-    gives the Q of Z = QR with a positive R diagonal, which is exactly Haar
-    (Mezzadri, math-ph/0609050). Column j of Q depends only on columns
-    0..j of Z, and the normals are drawn column by column as ``(k, d,
-    *shape, 2)``, so ``columns=k`` (default d) draws only k columns and
-    returns the leading k columns of the same unitaries.
+    last. The normals are drawn column by column as ``(k, d, *shape, 2)``,
+    so ``columns=k`` (default d) draws only k columns and returns the
+    leading k columns of the same unitaries.
     """
     k = d if columns is None else columns
     q = rng.standard_normal((k, d, *shape, 2)).view(np.complex128)[..., 0]
-    for j in range(k):
+    return _gram_schmidt(q)
+
+
+def _gram_schmidt(q):
+    """Orthonormalise the columns ``q[j]`` of a ``(k, d, ...)`` stack in place.
+
+    Modified Gram-Schmidt on a complex Ginibre stack gives the Q of Z = QR
+    with a positive R diagonal, which is exactly Haar (Mezzadri,
+    math-ph/0609050). Column j depends only on columns 0..j, and every
+    stack entry is orthonormalised on its own, so any slice of the stack
+    axes gives the same bits as the whole.
+    """
+    for j in range(q.shape[0]):
         col = q[j]
         col /= np.sqrt((col.real ** 2 + col.imag ** 2).sum(axis=0))
         rest = q[j + 1:]

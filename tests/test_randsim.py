@@ -10,6 +10,7 @@ from dimcert.randsim import (
     _NS_MAIN,
     _block_rng,
     _local_vectors,
+    _normals,
     _observable_m,
     _sampling_path,
     analytic_noise_threshold,
@@ -137,7 +138,8 @@ def test_gram_schmidt_unitary_over_a_million_draws(d):
 def test_truncated_local_vectors_match_full_projection(d):
     # (d+1)/2 orthonormal columns give the su(d) part of U M U^dag exactly
     m_eigs = _observable_m(d)
-    vecs = _local_vectors(d, m_eigs, 300, np.random.default_rng(d))
+    vecs = _local_vectors(
+        d, m_eigs, _normals(d, m_eigs, 300, np.random.default_rng(d)))
     u = _as_matrices(_haar_unitaries((2 * 300,), d, np.random.default_rng(d)))
     rot = (u * m_eigs) @ u.conj().swapaxes(-1, -2)
     ref = (rot.reshape(600, d * d) @ _basis_matrix(d)[1:].T).real
@@ -154,7 +156,9 @@ def test_haar_local_vectors_are_isotropic(d):
     n, draws = d * d - 1, 2 ** 16
     rng = np.random.default_rng(40 + d)
     a = np.concatenate([
-        _local_vectors(d, _observable_m(d), draws // 8, rng).reshape(n, -1)
+        _local_vectors(d, _observable_m(d),
+                       _normals(d, _observable_m(d), draws // 8, rng)
+                       ).reshape(n, -1)
         for _ in range(4)], axis=1)
     mean = a @ a.T / draws
     se = np.sqrt(np.maximum((a * a) @ (a * a).T / draws - mean ** 2, 0)
