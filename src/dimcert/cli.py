@@ -24,6 +24,7 @@ linear-algebra routine that did not converge); nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -344,9 +345,12 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args keeps no state
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InvalidInputError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

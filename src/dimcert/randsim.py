@@ -19,11 +19,10 @@ local vectors a, b; one contraction sum(a * (X_su @ b), axis=0) follows:
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
 (S2, S4) without bias. Sampling is organised in fixed blocks of 4096
-draws, each block owning an SFC64 generator seeded by
-SeedSequence([seed, namespace, block]), so results are bit-identical
-for any worker count and any block execution order. A block draws its
-normals once and runs them in power-of-two chunks that stay in a
-core's L2 cache. DIMCERT_THREADS caps the default thread pool.
+draws, each owning an SFC64 generator seeded by SeedSequence([seed,
+namespace, block]) and run in power-of-two chunks that stay in a core's
+L2, so results are bit-identical for any worker count and any block
+execution order. DIMCERT_THREADS caps the default thread pool.
 """
 
 from __future__ import annotations
@@ -41,15 +40,13 @@ from .errors import (
 from .boundary import classify_point
 from .correlations import correlation_data
 from .moments import exact_moments
-from .states import (
-    _gram_schmidt, _haar_unitaries, as_density, as_rng, extended_basis,
-    isotropic)
+from .states import (_gram_schmidt, _haar_unitaries, as_density, as_rng,
+                     extended_basis, isotropic)
 
 BLOCK = 4096
 MIN_SAMPLES = 100
-# a block runs in power-of-two chunks of at most this many bytes of local
-# vectors, so that a chunk's normals, vectors and temporaries stay in a
-# core's L2 (chunks of 4096, 1024 and 512 draws at d = 3, 5 and 7)
+# local-vector bytes of a block's power-of-two chunk, which stays in a core's
+# L2 with its normals and temporaries: 4096, 1024 and 512 draws at d = 3, 5, 7
 _CHUNK_BYTES = 2 ** 19
 
 _SAMPLING = "randomized moment estimation"
@@ -150,13 +147,10 @@ def _sampling_path(d, path):
 
 
 def _normals(d, m_eigs, m, rng):
-    """One block's normals for m draws of both stacks, chunkable on the last axis.
+    """A block's normals for m draws of both stacks, chunked on the last axis.
 
-    "bloch": the (2, m, d^2 - 1) draw seen as (d^2 - 1, 2, m). "haar": the
-    first k columns of 2m unitaries, drawn as ``_haar_unitaries`` draws
-    them and seen as (k, d, 2, m), where the trailing run of eigenvalues
-    equal to m_last starts at k.
-    """
+    "bloch": (d^2 - 1, 2, m). "haar": k Ginibre columns (k, d, 2, m), where
+    the trailing run of eigenvalues equal to m_last starts at k."""
     if m_eigs is None:
         return rng.standard_normal((2, m, d * d - 1)).transpose(2, 0, 1)
     k = int(np.argmax(m_eigs == m_eigs[-1]))
@@ -167,22 +161,21 @@ def _normals(d, m_eigs, m, rng):
 def _local_vectors(d, m_eigs, z):
     """The local su(d) vectors of a chunk of normals, shape (d^2 - 1, 2, m).
 
-    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": z
-    is orthonormalised in place, and entry g is tr(A g) for A = U M U^dag
-    = sum_{j<k} c_j u_j u_j^dag + m_last I, c_j = m_j - m_last, so
-    |a|^2 = tr M^2 = d. Row a of A right of its diagonal gives the
-    symmetric and antisymmetric components sqrt(2) Re and -sqrt(2) Im;
-    the diagonal meets the diagonal generators.
+    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": z is
+    orthonormalised in place; entry g is tr(A g) for A = U M U^dag = sum_{j<k}
+    c_j u_j u_j^dag + m_last I, c_j = m_j - m_last, so |a|^2 = tr M^2 = d.
+    Row a of A right of its diagonal gives the symmetric and antisymmetric
+    components sqrt(2) Re and -sqrt(2) Im; the diagonal meets the diagonal
+    generators.
     """
     if m_eigs is None:
         return z / np.linalg.norm(z, axis=0)
-    k, m = z.shape[0], z.shape[-1]
     u = _gram_schmidt(z)
     # row a of cu * u is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
-    cu = u.conj() * (m_eigs[:k] - m_eigs[-1])[:, None, None, None]
+    cu = u.conj() * (m_eigs[:len(u)] - m_eigs[-1])[:, None, None, None]
     half = d * (d - 1) // 2
-    vecs = np.empty((d * d - 1, 2, m))
-    diag = np.empty((d, 2, m))
+    vecs = np.empty((d * d - 1, *z.shape[2:]))
+    diag = np.empty((d, *z.shape[2:]))
     for a in range(d):
         row = (cu[:, a:a + 1] * u[:, a:]).sum(axis=0)
         lo = a * (2 * d - a - 1) // 2
@@ -191,7 +184,7 @@ def _local_vectors(d, m_eigs, z):
         vecs[lo:hi] = math.sqrt(2) * row[1:].real
         vecs[half + lo:half + hi] = math.sqrt(2) * row[1:].imag
     gens = np.diagonal(extended_basis(d)[2 * half + 1:], axis1=1, axis2=2)
-    vecs[2 * half:] = (gens.real @ diag.reshape(d, -1)).reshape(d - 1, 2, m)
+    vecs[2 * half:] = np.tensordot(gens.real, diag, 1)
     return vecs
 
 
@@ -199,18 +192,15 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     d = rho.dim_a
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
-    chunk = BLOCK
-    while chunk > 64 and 16 * (d * d - 1) * chunk > _CHUNK_BYTES:
-        chunk //= 2
+    chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_BYTES / (16 * d * d - 16))))
     x = np.empty(n_tot)
 
     def run_block(b):
         out = x[b * BLOCK:(b + 1) * BLOCK]
         z = _normals(d, m_eigs, len(out), _block_rng(seed, namespace, b))
         for lo in range(0, len(out), chunk):
-            vecs = _local_vectors(d, m_eigs, z[..., lo:lo + chunk])
-            out[lo:lo + chunk] = np.sum(vecs[:, 0] * (x_su @ vecs[:, 1]),
-                                        axis=0)
+            a, b = _local_vectors(d, m_eigs, z[..., lo:lo + chunk]).swapaxes(0, 1)
+            out[lo:lo + chunk] = np.sum(a * (x_su @ b), axis=0)
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:
@@ -341,8 +331,8 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     Each boundary comparison must clear its threshold by k_sigma standard
     deviations, and an estimate past the row r = d, outside the state
     space, certifies nothing. At k_sigma=2 and n_tot=1e3 the measured
-    false-bound rates are 0 of 2000 runs for isotropic(5, 0.9), 1.3% of
-    3000 for isotropic(3, 3/8) and 0.37% of 3000 for isotropic(5, 5/8),
+    false-bound rates are 0 of 2000 runs for isotropic(5, 0.9), 1.5% of
+    3000 for isotropic(3, 3/8) and 0.23% of 3000 for isotropic(5, 5/8),
     against a nominal one-sided tail of 2.28%; states off the isotropic
     line are not measured yet (ROADMAP.md, open item 1).
     """

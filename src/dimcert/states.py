@@ -382,27 +382,21 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     return PureState(da, db, coeff.reshape(-1))
 
 
-def _haar_unitaries(shape, d, rng, columns=None):
-    """Haar-random d x d unitaries stacked to ``shape``, as ``(k, d, *shape)``.
+def _haar_unitaries(shape, d, rng):
+    """Haar-random d x d unitaries stacked to ``shape``, as ``(d, d, *shape)``.
 
-    Column j of every unitary sits at ``[j]``, so the long stack axes come
-    last. The normals are drawn column by column as ``(k, d, *shape, 2)``,
-    so ``columns=k`` (default d) draws only k columns and returns the
-    leading k columns of the same unitaries.
+    Column j sits at ``[j]``, drawn as normals ``(d, *shape, 2)``.
     """
-    k = d if columns is None else columns
-    q = rng.standard_normal((k, d, *shape, 2)).view(np.complex128)[..., 0]
+    q = rng.standard_normal((d, d, *shape, 2)).view(np.complex128)[..., 0]
     return _gram_schmidt(q)
 
 
 def _gram_schmidt(q):
     """Orthonormalise the columns ``q[j]`` of a ``(k, d, ...)`` stack in place.
 
-    Modified Gram-Schmidt on a complex Ginibre stack gives the Q of Z = QR
-    with a positive R diagonal, which is exactly Haar (Mezzadri,
-    math-ph/0609050). Column j depends only on columns 0..j, and every
-    stack entry is orthonormalised on its own, so any slice of the stack
-    axes gives the same bits as the whole.
+    On complex Ginibre columns this is the Q of Z = QR with a positive R
+    diagonal, exactly Haar (Mezzadri, math-ph/0609050). Column j needs only
+    columns 0..j, and a slice of the stack axes gives the same bits.
     """
     for j in range(q.shape[0]):
         col = q[j]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dimcert import cli
 from dimcert.cli import main
 from dimcert.states import rho_w, write_state_json
 
@@ -310,3 +311,24 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("bad", [
+    ["simulate", "--state", "isotropic", "--d", "3", "--path", "uniform"],
+    ["simulate", "--state", "isotropic", "--d", "3", "--p", "0.5",
+     "--n", "10", "--seed", "1"],
+], ids=["parse-error", "run-error"])
+def test_reused_parser_matches_fresh_parsers(capsys, bad):
+    # main builds its parser once per process; a failed call must not leave
+    # anything behind that changes the next one
+    good = ["simulate", "--state", "isotropic", "--d", "3", "--p", "0.5",
+            "--n", "1000", "--seed", "4"]
+    fresh = []
+    for argv in (bad, good):
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in (bad, good)]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [1, 0]
+    assert cli._parser() is cli._parser()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from dimcert.correlations import _basis_matrix
+from dimcert.correlations import _basis_matrix, correlation_data
 from dimcert.errors import InvalidInputError
 from dimcert.moments import exact_moments
 from dimcert.randsim import (
+    BLOCK,
     _NS_MAIN,
     _block_rng,
     _local_vectors,
@@ -22,6 +23,7 @@ from dimcert.randsim import (
 )
 from dimcert.states import (
     PureState,
+    _gram_schmidt,
     _haar_unitaries,
     isotropic,
     max_entangled,
@@ -107,20 +109,21 @@ def test_gram_schmidt_matches_phase_fixed_qr(d):
     assert u.shape == (d, d, 3, 700)
     assert np.max(np.abs(_as_matrices(u) - ref)) < 1e-12
     for k in range(1, d + 1):
-        lead = _haar_unitaries((3, 700), d, _Fixed(raw[:k]), columns=k)
+        lead = _gram_schmidt(raw[:k].copy().view(np.complex128)[..., 0])
         assert np.max(np.abs(lead - u[:k])) < 1e-14
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_fewer_columns_draw_a_prefix_of_the_same_stream(d):
-    # the column axis is outermost, so k columns read the first k * d * 2
-    # normals per stack entry of the full draw from the same block key
+    # the column axis is outermost, so the k = (d+1)/2 columns a block draws
+    # read the first k * d * 2 normals per stack entry of the full draw from
+    # the same block key, and give the leading columns of the same unitaries
     full = _haar_unitaries((2 * 500,), d, _block_rng(5, _NS_MAIN, 3))
-    for k in range(1, d + 1):
-        lead = _haar_unitaries((2 * 500,), d, _block_rng(5, _NS_MAIN, 3),
-                               columns=k)
-        assert lead.shape == (k, d, 1000)
-        assert np.max(np.abs(lead - full[:k])) < 1e-14
+    k = (d + 1) // 2
+    z = _normals(d, _observable_m(d), 500, _block_rng(5, _NS_MAIN, 3))
+    assert z.shape == (k, d, 2, 500)
+    lead = _gram_schmidt(z).reshape(k, d, 1000)
+    assert np.max(np.abs(lead - full[:k])) < 1e-14
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -168,21 +171,43 @@ def test_haar_local_vectors_are_isotropic(d):
 
 # --- the sampling engine ---------------------------------------------------
 
-@pytest.mark.parametrize("rho", [
-    max_entangled(3).to_density(), isotropic(5, 0.3),
-    random_mixed(7, 7, 4, seed=1),
-], ids=["me3", "iso5", "mixed7"])
-def test_haar_samples_match_kron_reference(rho):
-    # x = Re tr(rho (U M U^dag (x) V M V^dag)) with the unitaries of block 0
-    d, n, seed = rho.dim_a, 200, 13
+@pytest.mark.parametrize("rho, n", [
+    (max_entangled(3).to_density(), 200), (isotropic(5, 0.3), 200),
+    (random_mixed(7, 7, 4, seed=1), 200),
+    (max_entangled(3).to_density(), BLOCK + 700),
+    (random_mixed(7, 7, 4, seed=1), BLOCK + 700),
+], ids=["me3", "iso5", "mixed7", "me3-two-blocks", "mixed7-two-blocks"])
+def test_haar_samples_match_kron_reference(rho, n):
+    # x = Re tr(rho (U M U^dag (x) V M V^dag)) with the unitaries of each
+    # block; past BLOCK the run crosses chunks and ends in a partial block
+    d, seed = rho.dim_a, 13
     x = estimate_moments(rho, n, seed, path="haar", keep_samples=True).samples
-    u = _as_matrices(_haar_unitaries((2 * n,), d,
-                                     _block_rng(seed, _NS_MAIN, 0)))
     m = np.diag(_observable_m(d))
-    ref = [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
-                                         b @ m @ b.conj().T)).real
-           for a, b in zip(u[:n], u[n:])]
+    ref = []
+    for b, start in enumerate(range(0, n, BLOCK)):
+        size = min(BLOCK, n - start)
+        u = _as_matrices(_haar_unitaries((2 * size,), d,
+                                         _block_rng(seed, _NS_MAIN, b)))
+        ref += [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
+                                              v @ m @ v.conj().T)).real
+                for a, v in zip(u[:size], u[size:])]
     assert np.max(np.abs(x - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["haar", "bloch"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_chunked_block_matches_one_pass(d, path):
+    # the chunks of a full block give the bits of one pass over its normals
+    rho = random_mixed(d, d, 4, seed=d)
+    m_eigs = _sampling_path(d, path)[0]
+    x = estimate_moments(rho, 2 * BLOCK, 21, path=path,
+                         keep_samples=True).samples
+    x_su = correlation_data(rho).su
+    for b in range(2):
+        vecs = _local_vectors(d, m_eigs, _normals(
+            d, m_eigs, BLOCK, _block_rng(21, _NS_MAIN, b)))
+        one_pass = np.sum(vecs[:, 0] * (x_su @ vecs[:, 1]), axis=0)
+        assert np.array_equal(x[b * BLOCK:(b + 1) * BLOCK], one_pass)
 
 
 # --- estimator contract ---------------------------------------------------
@@ -214,6 +239,12 @@ def test_estimate_worker_count_invariance():
     b = estimate_moments(me3(), 9000, seed=9, workers=4, keep_samples=True)
     assert np.array_equal(a.samples, b.samples)
     assert a.s2 == b.s2 and a.s4 == b.s4
+    # d=7 runs in several chunks per block
+    rho = random_mixed(7, 7, 4, seed=2)
+    a = estimate_moments(rho, 3 * BLOCK + 700, seed=9, keep_samples=True)
+    b = estimate_moments(rho, 3 * BLOCK + 700, seed=9, workers=2,
+                         keep_samples=True)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_estimate_env_thread_override(monkeypatch):
