@@ -192,7 +192,7 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     d = rho.dim_a
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
-    chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_BYTES / (16 * d * d - 16))))
+    chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_BYTES / (16 * (d * d - 1)))))
     x = np.empty(n_tot)
 
     def run_block(b):
