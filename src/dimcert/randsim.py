@@ -195,9 +195,9 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_BYTES / (16 * (d * d - 1)))))
     x = np.empty(n_tot)
 
-    def run_block(b):
-        out = x[b * BLOCK:(b + 1) * BLOCK]
-        z = _normals(d, m_eigs, len(out), _block_rng(seed, namespace, b))
+    def run_block(block):
+        out = x[block * BLOCK:(block + 1) * BLOCK]
+        z = _normals(d, m_eigs, len(out), _block_rng(seed, namespace, block))
         for lo in range(0, len(out), chunk):
             a, b = _local_vectors(d, m_eigs, z[..., lo:lo + chunk]).swapaxes(0, 1)
             out[lo:lo + chunk] = np.sum(a * (x_su @ b), axis=0)
