@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
+from .errors import InvalidInputError, NumericalConsistencyError
 from .states import DERIVED_TOL, _purity, as_density, extended_basis
 
 IMAG_TOL = 1e-9
@@ -51,6 +51,8 @@ class CorrelationData:
         Singular values of ``su``, descending.
     xi : ndarray
         Singular values of ``full`` (operator Schmidt values), descending.
+    cross : ndarray
+        Singular values of the covariance cross block ``su - v_a v_b^T``.
     """
 
     dim_a: int
@@ -61,6 +63,7 @@ class CorrelationData:
     vector_b: np.ndarray
     epsilon: np.ndarray
     xi: np.ndarray
+    cross: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +94,7 @@ def _build_correlation_data(rho):
     realigned = rho.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
     full_c = (_basis_matrix(da) @ realigned.reshape(da * da, db * db)
               @ _basis_matrix(db).T)
-    imag_max = float(np.max(np.abs(full_c.imag)))
+    imag_max = float(np.abs(full_c.imag).max())
     if imag_max > IMAG_TOL:
         raise NumericalConsistencyError(
             f"correlation coefficients have imaginary parts up to {imag_max:.3e}; "
@@ -100,19 +103,20 @@ def _build_correlation_data(rho):
     su = full[1:, 1:]
     vector_a = full[1:, 0] * np.sqrt(db)
     vector_b = full[0, 1:] * np.sqrt(da)
-    epsilon = np.linalg.svd(su, compute_uv=False)
+    su_cross = np.linalg.svd(  # one SVD for su and the covariance cross block
+        np.array([su, su - vector_a[:, None] * vector_b]), compute_uv=False)
     xi = np.linalg.svd(full, compute_uv=False)
     pur = _purity(rho.matrix)
-    if abs(float(np.sum(xi ** 2)) - pur) > DERIVED_TOL:
+    if abs(float((xi ** 2).sum()) - pur) > DERIVED_TOL:
         raise NumericalConsistencyError(
             f"operator Schmidt values square-sum to {np.sum(xi ** 2):.12f} "
             f"but tr(rho^2) = {pur:.12f}")
-    for arr in (full, su, vector_a, vector_b, epsilon, xi):
+    for arr in (full, su, vector_a, vector_b, su_cross, xi):
         arr.setflags(write=False)
     return CorrelationData(
         dim_a=da, dim_b=db, full=full, su=su,
         vector_a=vector_a, vector_b=vector_b,
-        epsilon=epsilon, xi=xi,
+        epsilon=su_cross[0], xi=xi, cross=su_cross[1],
     )
 
 
@@ -122,6 +126,13 @@ def as_correlation_data(obj):
 
 
 def trace_norm(matrix):
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(matrix), compute_uv=False)))
+    """Sum of the singular values of a finite 2-D numeric array."""
+    try:
+        mat = np.asarray(matrix)
+        ok = mat.ndim == 2 and mat.dtype.kind in "biufc" and np.isfinite(mat).all()
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        raise InvalidInputError(f"trace_norm needs a finite 2-D array, got {matrix!r:.60}")
+    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 

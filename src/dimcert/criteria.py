@@ -18,7 +18,8 @@ violated when lhs exceeds rhs by more than 1e-9:
   ||X_su||_2^2 <= 1 + (r-2d)/(d^2 r)
 * ``sn_fidelity`` (state and a pure target t): <t|rho|t> <= sum of the
   r largest Schmidt coefficients of t; one witness scores a stack of
-  target vectors and keeps the best target's certificate
+  target vectors with one stacked SVD, one stacked overlap product and
+  one ranking pass, and keeps the best target's certificate
 * ``sn_covariance`` (state or correlations):
   tr|X_su - v_a v_b^T| - (r-1) <= sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))
 * ``sn_reduction_map`` (state): rho_a (x) 1 - rho/r is positive
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .correlations import as_correlation_data, correlation_data, trace_norm
+from .correlations import as_correlation_data, correlation_data
 from .states import (
     STRUCT_TOL,
     PureState,
@@ -147,7 +149,7 @@ def _verdict(violated, margin):
     margin. Every state satisfies the last row, so its violation puts the
     input outside the state space and voids the certificate: (1, 0.0, True).
     """
-    top = max((r for r, v in enumerate(violated, 1) if v), default=0)
+    top = next((r for r in range(len(violated), 0, -1) if violated[r - 1]), 0)
     if top == len(violated):
         return 1, 0.0, True
     return (top + 1, margin(top), False) if top else (1, 0.0, False)
@@ -179,7 +181,7 @@ def _threshold(criterion_id, pairs, **details):
 def sn_trace_norm(state_or_corr):
     """Trace-norm criterion on the su correlation block."""
     corr = as_correlation_data(state_or_corr)
-    tn = float(np.sum(corr.epsilon))
+    tn = float(corr.epsilon.sum())
     rhs = math.sqrt((1 - 1 / corr.dim_a) * (1 - 1 / corr.dim_b))
     dmin = min(corr.dim_a, corr.dim_b)
     return _threshold("trace_norm",
@@ -194,7 +196,7 @@ def sn_ccnr(state_or_corr):
     above an integer round down; a sum above min(d_a, d_b) voids it.
     """
     corr = as_correlation_data(state_or_corr)
-    s = float(np.sum(corr.xi))
+    s = float(corr.xi.sum())
     dmin = min(corr.dim_a, corr.dim_b)
     return _threshold("ccnr", [(s, r) for r in range(1, dmin + 1)],
                       xi_sum=s)
@@ -208,7 +210,7 @@ def sn_two_norm(state_or_corr):
             "the two-norm criterion is only defined for equal local "
             f"dimensions, got {corr.dim_a} x {corr.dim_b}")
     d = corr.dim_a
-    lhs = float(np.sum(corr.epsilon ** 2))
+    lhs = float((corr.epsilon ** 2).sum())
     return _threshold(
         "two_norm",
         [(lhs, 1 + (r - 2 * d) / (d * d * r)) for r in range(1, d + 1)],
@@ -232,27 +234,34 @@ def sn_fidelity(rho, target, label=None):
     return _fidelity(rho, target.amplitudes[None], [label])
 
 
+def _overlaps(mat, vecs):
+    """Re <v|mat|v> per row v, bit for bit the per-row ``v.conj() @ mat @ v``."""
+    return (vecs.conj()[:, None, :] @ mat @ vecs[:, :, None])[:, 0, 0].real
+
+
 def _fidelity(rho, vecs, labels, **details):
     """Best fidelity certificate over the unit target vectors ``vecs``.
 
-    One stacked SVD gives the Schmidt coefficients of every row; the best
-    target by (bound, margin) wins, the first on a tie, and only its
-    certificate is built. A label of None is left out of the details.
+    One vectorised pass ranks the targets by (bound, margin), the first on
+    a tie, and only the winner's certificate is built. A label of None is
+    left out of the details.
     """
     lams = np.linalg.svd(vecs.reshape(-1, rho.dim_a, rho.dim_b),
                          compute_uv=False) ** 2
-    fids = [float(np.real(vec.conj() @ rho.matrix @ vec)) for vec in vecs]
+    fids = _overlaps(rho.matrix, vecs)
     # one summed Schmidt coefficient per r = 1..min(d_a, d_b)
-    sums = np.cumsum(lams, axis=1).tolist()
-
-    def rank(i):  # (bound, margin) of the certificate _certificate builds
-        return _verdict([fids[i] > c + VIOLATION_TOL for c in sums[i]],
-                        lambda r: fids[i] - sums[i][r - 1])[:2]
-
-    i = max(range(len(vecs)), key=rank)
+    sums = lams.cumsum(axis=1)
+    # _verdict of all targets: the sums grow with r, so the violated rows are a prefix
+    # and the first row not violated is top (0 also for a void target)
+    top = (fids[:, None] > sums + VIOLATION_TOL).argmin(axis=1)
+    t = top.max()  # the first of the largest margins at top = t wins
+    margin = (fids - sums[:, t - 1]) * (t > 0)
+    margin[top < t] = -np.inf
+    i = int(margin.argmax())
     target = {} if labels[i] is None else {"target": labels[i]}
-    return _threshold("fidelity", [(fids[i], c) for c in sums[i]],
-                      fidelity=fids[i],
+    fid = float(fids[i])
+    return _threshold("fidelity", [(fid, c) for c in sums[i].tolist()],
+                      fidelity=fid,
                       target_schmidt_coefficients=lams[i].tolist(),
                       **target, **details)
 
@@ -284,11 +293,11 @@ def sn_reduction_map(rho):
 def sn_covariance(state_or_corr):
     """Mean-subtracted variant of the trace-norm criterion.
 
-    The cross block ``su - v_a v_b^T`` and the marginal purities
-    ``1/d + |v|^2`` come straight from the correlation data.
+    The cross block's singular values ``corr.cross`` and the marginal
+    purities ``1/d + |v|^2`` come straight from the correlation data.
     """
     corr = as_correlation_data(state_or_corr)
-    tn = trace_norm(corr.su - np.outer(corr.vector_a, corr.vector_b))
+    tn = float(corr.cross.sum())
     pa = 1 / corr.dim_a + float(corr.vector_a @ corr.vector_a)
     pb = 1 / corr.dim_b + float(corr.vector_b @ corr.vector_b)
     rhs = math.sqrt(max(1 - pa, 0.0) * max(1 - pb, 0.0))
@@ -299,22 +308,26 @@ def sn_covariance(state_or_corr):
 
 
 def _fidelity_targets(rho):
-    """Embedded maximally entangled targets plus the dominant eigenvector.
-
-    Returns ``(vecs, labels)``: row m - 2 of ``vecs`` is the maximally
-    entangled state of Schmidt rank m = 2..min(d_a, d_b) on the first m
-    levels of each side, and the last row is the normalised eigenvector of
-    the largest eigenvalue of the state.
+    """``(vecs, labels)``: row m - 2 of ``vecs`` is the maximally entangled
+    state of Schmidt rank m = 2..min(d_a, d_b) on the first m levels of each
+    side, the last row the normalised eigenvector of the largest eigenvalue.
     """
-    da, db = rho.dim_a, rho.dim_b
+    template, labels = _target_template(rho.dim_a, rho.dim_b)
+    vecs = template.copy()
+    top = np.linalg.eigh(rho.matrix)[1][:, -1]
+    vecs[-1] = top / np.linalg.norm(top)
+    return vecs, [*labels, "dominant-eigenvector"]
+
+
+@lru_cache(maxsize=None)
+def _target_template(da, db):
+    """``_fidelity_targets`` with a zero last row (read-only) and its labels."""
     dmin = min(da, db)
     vecs = np.zeros((dmin, da * db), dtype=np.complex128)
     for m in range(2, dmin + 1):
         vecs[m - 2, np.arange(m) * (db + 1)] = 1 / np.sqrt(m)
-    top = np.linalg.eigh(rho.matrix)[1][:, -1]
-    vecs[-1] = top / np.linalg.norm(top)
-    labels = [f"max-entangled-{m}" for m in range(2, dmin + 1)]
-    return vecs, labels + ["dominant-eigenvector"]
+    vecs.setflags(write=False)
+    return vecs, tuple(f"max-entangled-{m}" for m in range(2, dmin + 1))
 
 
 def compare_all(rho):

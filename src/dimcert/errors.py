@@ -45,6 +45,8 @@ def _check_real(value, name):
     Strings, None and bool are not numbers here; an int too large for a
     float is not finite.
     """
+    if type(value) is float and math.isfinite(value):  # the common case
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             real = float(value)

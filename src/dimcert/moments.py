@@ -54,6 +54,6 @@ def exact_moments(rho):
     d = rho.dim_a
     eps = correlation_data(rho).epsilon
     scale = d * d / (d - 1) ** 2
-    s2 = scale * float(np.sum(eps ** 2))
-    s4 = 2 * d ** 4 / (3 * (d - 1) ** 4) * float(np.sum(eps ** 4)) + s2 ** 2 / 3
+    s2 = scale * float((eps ** 2).sum())
+    s4 = 2 * d ** 4 / (3 * (d - 1) ** 4) * float((eps ** 4).sum()) + s2 ** 2 / 3
     return MomentPair(s2, s4)

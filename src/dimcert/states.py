@@ -110,10 +110,15 @@ def extended_basis(d):
 # state containers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _jitter(n):
+    return STRUCT_TOL * np.eye(n)
+
+
 def _cholesky_psd(mat):
     """True when the Cholesky factorisation of ``mat + 1e-10 * I`` succeeds."""
     try:
-        np.linalg.cholesky(mat + STRUCT_TOL * np.eye(len(mat)))
+        np.linalg.cholesky(mat + _jitter(len(mat)))
         return True
     except np.linalg.LinAlgError:
         return False
@@ -143,9 +148,9 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"density matrix shape {mat.shape} does not match "
                 f"dim_a*dim_b = {n}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise InvalidInputError("matrix has non-finite entries")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
+        herm_dev = abs(mat - mat.conj().T).max()
         if herm_dev > STRUCT_TOL:
             raise InvalidInputError(
                 f"matrix is not Hermitian: max deviation {herm_dev:.3e} > {STRUCT_TOL}")

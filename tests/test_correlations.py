@@ -153,6 +153,25 @@ def test_norm_helpers():
     assert abs(trace_norm(m) - 7.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [
+    np.ones(4), "not a matrix", np.array([[1.0, np.inf], [0.0, 1.0]]),
+    [[1.0, 2.0], [3.0]],
+], ids=["1-D", "string", "inf", "ragged"])
+def test_trace_norm_rejects_what_is_not_a_finite_matrix(bad):
+    with pytest.raises(InvalidInputError):
+        trace_norm(bad)
+
+
+def test_stacked_spectra_match_separate_svds():
+    # epsilon and cross come from one stacked SVD; each must keep the bits
+    # of its own SVD call
+    for rho in _zoo() + [random_mixed(2, 3, 4, seed=5), random_mixed(3, 4, 6, seed=6)]:
+        c = correlation_data(rho)
+        cross = c.su - np.outer(c.vector_a, c.vector_b)
+        assert np.array_equal(c.epsilon, np.linalg.svd(c.su, compute_uv=False))
+        assert np.array_equal(c.cross, np.linalg.svd(cross, compute_uv=False))
+
+
 def test_singular_values_sorted_descending():
     for rho in _zoo():
         c = correlation_data(rho)

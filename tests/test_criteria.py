@@ -9,9 +9,11 @@ import pytest
 from dimcert.boundary import classify_point
 from dimcert.correlations import CorrelationData, correlation_data
 from dimcert.criteria import (
+    VIOLATION_TOL,
     SchmidtCertificate,
     _fidelity,
     _fidelity_targets,
+    _overlaps,
     _verdict,
     compare_all,
     sn_ccnr,
@@ -97,7 +99,7 @@ def test_ccnr_boundary_rounding_is_conservative():
     corr = CorrelationData(
         dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
         vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
-        xi=xi)
+        xi=xi, cross=np.zeros(3))
     cert = sn_ccnr(corr)
     assert cert.certified_lower_bound == 2
     assert [row["violated"] for row in cert.details["per_r"]] == [True, False]
@@ -110,7 +112,7 @@ def test_violated_last_row_voids_the_certificate():
     corr = CorrelationData(
         dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
         vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
-        xi=xi)
+        xi=xi, cross=np.zeros(3))
     for cert in (sn_ccnr(corr), classify_point(17.0, 100.0, 3),
                  classify_point(17.0, 100.0, 3, std_s2=0.1, std_s4=0.1,
                                 k_sigma=2.0)):
@@ -132,6 +134,24 @@ def test_verdict_reads_the_largest_violated_row():
     assert _verdict([True, True, True], margin) == (1, 0.0, True)
 
 
+def _best_target_by_verdict(rho, vecs):
+    """Index of the best target, ranked by ``_verdict`` one target at a time.
+
+    The per-target rule the vectorised ranking in ``_fidelity`` replaces:
+    the largest (bound, margin), the first target on a tie.
+    """
+    lams = np.linalg.svd(vecs.reshape(-1, rho.dim_a, rho.dim_b),
+                         compute_uv=False) ** 2
+    fids = [float(np.real(t.conj() @ rho.matrix @ t)) for t in vecs]
+    sums = np.cumsum(lams, axis=1).tolist()
+
+    def rank(i):
+        return _verdict([fids[i] > c + VIOLATION_TOL for c in sums[i]],
+                        lambda r: fids[i] - sums[i][r - 1])[:2]
+
+    return max(range(len(vecs)), key=rank)
+
+
 def test_fidelity_ranks_targets_by_the_certificate_rule():
     # trace 1.2 puts the overlap with phi+ above 1, the last row, so that
     # target is void and the target certifying 2 must win the ranking
@@ -145,6 +165,90 @@ def test_fidelity_ranks_targets_by_the_certificate_rule():
     void = _fidelity(rho, phi[None], ["phi"])
     assert void.certified_lower_bound == 1
     assert void.details["outside_state_space"] is True
+    # an exact tie goes to the first target, also when nothing is certified
+    for state in (max_entangled(2).to_density(), _max_mixed(2)):
+        cert = _fidelity(state, np.stack([phi, phi]), ["first", "second"])
+        assert cert.details["target"] == "first"
+    # the vectorised ranking picks the target _verdict picks per target; in
+    # max_entangled(d) the last maximally entangled target and the dominant
+    # eigenvector tie in exact arithmetic
+    states = [max_entangled(d).to_density() for d in range(2, 6)]
+    states += [max_entangled(2, 4).to_density(), rho_w(), isotropic(3, 0.2),
+               isotropic(4, 0.6), _max_mixed(3)]
+    states += [random_mixed(da, db, rank, seed=seed)
+               for seed, (da, db, rank) in enumerate(
+                   [(2, 2, 1), (3, 3, 2), (4, 4, 3), (5, 5, 4), (6, 6, 6),
+                    (2, 3, 2), (3, 4, 5), (4, 3, 2)])]
+    states += [random_pure(d, d, seed=d, schmidt_rank=d - 1).to_density()
+               for d in (3, 4, 5)]
+    for state in states:
+        vecs, labels = _fidelity_targets(state)
+        cert = _fidelity(state, vecs, labels)
+        assert cert.details["target"] == labels[_best_target_by_verdict(state, vecs)]
+
+
+@pytest.mark.parametrize("dims", [(d, d) for d in range(2, 7)] + [(2, 3), (3, 4)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_stacked_overlaps_equal_per_target_products(dims):
+    # the witness scores all targets with one stacked product; it must give
+    # the bits of the per-target product, or a tie between targets can flip
+    n = dims[0] * dims[1]
+    for seed in range(8):
+        rho = random_mixed(*dims, rank=1 + seed * 3 % n, seed=seed)
+        vecs, _ = _fidelity_targets(rho)
+        others = np.stack([random_pure(*dims, seed=100 + seed + k).amplitudes
+                           for k in range(3)])
+        for stack in (vecs, np.concatenate([vecs, others])):
+            fids = _overlaps(rho.matrix, stack)
+            for fid, t in zip(fids, stack):
+                assert fid == float(np.real(t.conj() @ rho.matrix @ t))
+
+
+def test_compare_all_lapack_call_budget(monkeypatch):
+    # one compare_all makes one eigh (the dominant eigenvector), three SVDs
+    # (su with the covariance cross block, the full matrix, the fidelity
+    # targets) and at most ceil(log2(min(d_a, d_b) + 1)) reduction-map
+    # Cholesky probes, with one eigvalsh right after each failed probe
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            try:
+                out = fn(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append((name, False))
+                raise
+            calls.append((name, True))
+            return out
+        return wrapper
+
+    states = [max_entangled(d).to_density() for d in (2, 3, 5)]
+    states += [rho_w(), isotropic(3, 0.2), isotropic(6, 0.5), _max_mixed(4)]
+    states += [random_mixed(da, db, rank, seed=seed)
+               for seed, (da, db, rank) in enumerate(
+                   [(3, 3, 2), (4, 4, 9), (5, 5, 3), (6, 6, 30),
+                    (2, 3, 2), (3, 4, 5), (4, 3, 3)])]
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "eig", "eigvals",
+                 "qr", "lstsq", "inv", "solve", "det", "slogdet", "pinv"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    failed_probes = 0
+    for rho in states:
+        calls.clear()
+        compare_all(rho)
+        names = [name for name, _ in calls]
+        assert names.count("eigh") == 1
+        assert names.count("svd") == 3
+        probes = [ok for name, ok in calls if name == "cholesky"]
+        dmin = min(rho.dim_a, rho.dim_b)
+        assert len(probes) <= math.ceil(math.log2(dmin + 1))
+        assert names.count("eigvalsh") == probes.count(False)
+        for before, (name, _) in zip(calls, calls[1:]):
+            if name == "eigvalsh":
+                assert before == ("cholesky", False)
+        assert set(names) <= {"svd", "eigh", "eigvalsh", "cholesky"}
+        failed_probes += probes.count(False)
+    assert failed_probes > 0  # the states exercise the eigvalsh path
 
 
 def test_ccnr_rejects_malformed_value_arrays():
