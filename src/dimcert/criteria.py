@@ -149,7 +149,7 @@ def _verdict(violated, margin):
     margin. Every state satisfies the last row, so its violation puts the
     input outside the state space and voids the certificate: (1, 0.0, True).
     """
-    top = next((r for r in range(len(violated), 0, -1) if violated[r - 1]), 0)
+    top = len(violated) - violated[::-1].index(True) if any(violated) else 0
     if top == len(violated):
         return 1, 0.0, True
     return (top + 1, margin(top), False) if top else (1, 0.0, False)
@@ -308,10 +308,8 @@ def sn_covariance(state_or_corr):
 
 
 def _fidelity_targets(rho):
-    """``(vecs, labels)``: row m - 2 of ``vecs`` is the maximally entangled
-    state of Schmidt rank m = 2..min(d_a, d_b) on the first m levels of each
-    side, the last row the normalised eigenvector of the largest eigenvalue.
-    """
+    """``(vecs, labels)``: the template rows, then the normalised eigenvector
+    of the largest eigenvalue of the state."""
     template, labels = _target_template(rho.dim_a, rho.dim_b)
     vecs = template.copy()
     top = np.linalg.eigh(rho.matrix)[1][:, -1]
@@ -321,7 +319,9 @@ def _fidelity_targets(rho):
 
 @lru_cache(maxsize=None)
 def _target_template(da, db):
-    """``_fidelity_targets`` with a zero last row (read-only) and its labels."""
+    """Read-only rows: row m - 2 is the maximally entangled state of Schmidt
+    rank m = 2..min(d_a, d_b) on the first m levels of each side, the last
+    row zero. Returned with the labels of the filled rows."""
     dmin = min(da, db)
     vecs = np.zeros((dmin, da * db), dtype=np.complex128)
     for m in range(2, dmin + 1):
