@@ -18,17 +18,20 @@ local vectors a, b; one contraction sum(a * (X_su @ b), axis=0) follows:
 * "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
-(S2, S4) without bias. Sampling is organised in fixed blocks of 4096
-draws, each owning an SFC64 generator seeded by SeedSequence([seed,
-namespace, block]) and run in power-of-two chunks that stay in a core's
-L2, so results are bit-identical for any worker count and any block
-execution order. DIMCERT_THREADS caps the default thread pool.
+(S2, S4) without bias. Sampling runs in fixed blocks of 4096 draws, each
+owning an SFC64 generator seeded by SeedSequence([seed, namespace,
+block]), so results are bit-identical for any worker count and block
+order. A block's power-of-two chunks draw from its generator in turn into
+views of one 4.53 MiB scratch buffer that each sampling thread keeps:
+4096, 2048 and 1024 draws at d = 3, 5, 7 (Haar), whole blocks up to d = 7
+(Bloch). DIMCERT_THREADS caps the default thread pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,9 +48,9 @@ from .states import (_gram_schmidt, _haar_unitaries, as_density, as_rng,
 
 BLOCK = 4096
 MIN_SAMPLES = 100
-# local-vector bytes of a block's power-of-two chunk, which stays in a core's
-# L2 with its normals and temporaries: 4096, 1024 and 512 draws at d = 3, 5, 7
-_CHUNK_BYTES = 2 ** 19
+# float64 items of each sampling thread's scratch buffer (4.53 MiB)
+_SCRATCH_FLOATS = 145 * BLOCK
+_SCRATCH = threading.local()
 
 _SAMPLING = "randomized moment estimation"
 _NS_MAIN = 0
@@ -146,45 +149,59 @@ def _sampling_path(d, path):
     return m_eigs, float(c2), float(c4)
 
 
-def _normals(d, m_eigs, m, rng):
-    """A block's normals for m draws of both stacks, chunked on the last axis.
+def _normals(d, m_eigs, m, rng, buf=None):
+    """m draws of normals for both stacks, at the front of ``buf`` if given.
 
-    "bloch": (d^2 - 1, 2, m). "haar": k Ginibre columns (k, d, 2, m), where
-    the trailing run of eigenvalues equal to m_last starts at k."""
+    "bloch": (d^2 - 1, 2, m), (2, m, d^2 - 1) in memory. "haar": the
+    (d + 1)/2 Ginibre columns (k, d, 2, m) that the probing spectrum needs."""
+    shape = (2, m, d * d - 1) if m_eigs is None else ((d + 1) // 2, d, 2 * m, 2)
+    raw = rng.standard_normal(out=np.empty(shape) if buf is None else
+                              buf[:math.prod(shape)].reshape(shape))
     if m_eigs is None:
-        return rng.standard_normal((2, m, d * d - 1)).transpose(2, 0, 1)
-    k = int(np.argmax(m_eigs == m_eigs[-1]))
-    raw = rng.standard_normal((k, d, 2 * m, 2)).view(np.complex128)
-    return raw.reshape(k, d, 2, m)
+        return raw.transpose(2, 0, 1)
+    return raw.view(np.complex128).reshape(*shape[:2], 2, m)
 
 
-def _local_vectors(d, m_eigs, z):
+def _local_vectors(d, m_eigs, z, work=None):
     """The local su(d) vectors of a chunk of normals, shape (d^2 - 1, 2, m).
 
-    "bloch" (no probing spectrum): uniform on the unit sphere. "haar": z is
-    orthonormalised in place; entry g is tr(A g) for A = U M U^dag = sum_{j<k}
-    c_j u_j u_j^dag + m_last I, c_j = m_j - m_last, so |a|^2 = tr M^2 = d.
-    Row a of A right of its diagonal gives the symmetric and antisymmetric
-    components sqrt(2) Re and -sqrt(2) Im; the diagonal meets the diagonal
-    generators.
+    "bloch" (no probing spectrum): z normalised in place, uniform on the
+    unit sphere. "haar": z is orthonormalised in place; entry g is tr(A g)
+    for A = U M U^dag = sum_{j<k} c_j u_j u_j^dag + m_last I, c_j = m_j -
+    m_last, so |a|^2 = tr M^2 = d. Row a of A right of its diagonal gives
+    the symmetric and antisymmetric components sqrt(2) Re and -sqrt(2) Im;
+    the diagonal meets the diagonal generators. Temporaries and vectors are
+    views of ``work`` (or fresh); complex c_j spare numpy a cast buffer.
     """
+    n, m = d * d - 1, z.shape[-1]
+    work = np.empty(8 * z.size) if work is None else work  # enough either way
     if m_eigs is None:
-        return z / np.linalg.norm(z, axis=0)
-    u = _gram_schmidt(z)
+        squares, norm = work[:n * m].reshape(m, n), work[n * m:(n + 1) * m]
+        for stack in z.transpose(1, 2, 0):
+            np.multiply(stack, stack, out=squares).sum(axis=1, out=norm)
+            np.copyto(squares, np.sqrt(norm, out=norm)[:, None])
+            stack /= squares
+        return z
+    u = _gram_schmidt(z, work)
+    k, half = len(u), d * (d - 1) // 2
+    vecs, diag = np.split(work[:2 * (n + d) * m].reshape(n + d, 2, m), [n])
+    cu, prod, row = np.split(work[2 * (n + d) * m:].view(complex)[
+        :2 * (2 * k + 1) * d * m].reshape(2 * k + 1, d, 2, m), [k, 2 * k])
     # row a of cu * u is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
-    cu = u.conj() * (m_eigs[:len(u)] - m_eigs[-1])[:, None, None, None]
-    half = d * (d - 1) // 2
-    vecs = np.empty((d * d - 1, *z.shape[2:]))
-    diag = np.empty((d, *z.shape[2:]))
+    np.multiply(np.conjugate(u, out=cu),
+                (m_eigs[:k] - m_eigs[-1] + 0j)[:, None, None, None], out=cu)
     for a in range(d):
-        row = (cu[:, a:a + 1] * u[:, a:]).sum(axis=0)
+        for j in range(k):
+            for b in range(a, d):
+                np.multiply(cu[j, a], u[j, b], out=prod[j, b])
+        r = prod[:, a:].sum(axis=0, out=row[0, a:])
         lo = a * (2 * d - a - 1) // 2
         hi = lo + d - 1 - a
-        diag[a] = row[0].real
-        vecs[lo:hi] = math.sqrt(2) * row[1:].real
-        vecs[half + lo:half + hi] = math.sqrt(2) * row[1:].imag
+        diag[a] = r[0].real
+        np.multiply(r[1:].real, math.sqrt(2), out=vecs[lo:hi])
+        np.multiply(r[1:].imag, math.sqrt(2), out=vecs[half + lo:half + hi])
     gens = np.diagonal(extended_basis(d)[2 * half + 1:], axis1=1, axis2=2)
-    vecs[2 * half:] = np.tensordot(gens.real, diag, 1)
+    np.dot(gens.real, diag.reshape(d, -1), out=vecs[2 * half:].reshape(d - 1, -1))
     return vecs
 
 
@@ -192,15 +209,24 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
     d = rho.dim_a
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
-    chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_BYTES / (16 * (d * d - 1)))))
+    # float64 scratch items per draw that the views of a chunk take
+    per_draw = 3 * d * d - 2 if m_eigs is None else 8 * d * d + 12 * d - 2
+    chunk = min(BLOCK, 2 ** int(math.log2(_SCRATCH_FLOATS / per_draw)))
     x = np.empty(n_tot)
 
     def run_block(block):
+        if not hasattr(_SCRATCH, "buf"):
+            _SCRATCH.buf = np.empty(_SCRATCH_FLOATS)
+        buf, rng = _SCRATCH.buf, _block_rng(seed, namespace, block)
         out = x[block * BLOCK:(block + 1) * BLOCK]
-        z = _normals(d, m_eigs, len(out), _block_rng(seed, namespace, block))
         for lo in range(0, len(out), chunk):
-            a, b = _local_vectors(d, m_eigs, z[..., lo:lo + chunk]).swapaxes(0, 1)
-            out[lo:lo + chunk] = np.sum(a * (x_su @ b), axis=0)
+            z = _normals(d, m_eigs, min(chunk, len(out) - lo), rng, buf)
+            a, b = _local_vectors(d, m_eigs, z, buf[z.nbytes // 8:]).swapaxes(0, 1)
+            # the product sits at the back; a row at a time does not buffer
+            xb = np.matmul(x_su, b, out=buf[len(buf) - a.size:].reshape(a.shape))
+            for a_i, xb_i in zip(a, xb):
+                xb_i *= a_i
+            xb.sum(axis=0, out=out[lo:lo + chunk])
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:

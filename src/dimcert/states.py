@@ -180,6 +180,7 @@ class PureState:
     dim_a: int
     dim_b: int
     amplitudes: np.ndarray
+    _rho: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
@@ -204,13 +205,15 @@ class PureState:
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
     def to_density(self):
-        """Projector |psi><psi| as a DensityMatrix."""
-        mat = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.dim_a, self.dim_b, mat)
+        """Projector |psi><psi| as a DensityMatrix, built on the first call."""
+        if self._rho is None:
+            mat = np.outer(self.amplitudes, self.amplitudes.conj())
+            self._rho = DensityMatrix(self.dim_a, self.dim_b, mat)
+        return self._rho
 
 
 def as_density(rho, equal_dims_for=None):
-    """A DensityMatrix from a DensityMatrix or a PureState.
+    """A DensityMatrix from a DensityMatrix or a PureState (converted once).
 
     With ``equal_dims_for`` (a short name of what needs it) the two local
     dimensions must also agree.
@@ -396,18 +399,29 @@ def _haar_unitaries(shape, d, rng):
     return _gram_schmidt(q)
 
 
-def _gram_schmidt(q):
+def _gram_schmidt(q, work=None):
     """Orthonormalise the columns ``q[j]`` of a ``(k, d, ...)`` stack in place.
 
     On complex Ginibre columns this is the Q of Z = QR with a positive R
     diagonal, exactly Haar (Mezzadri, math-ph/0609050). Column j needs only
-    columns 0..j, and a slice of the stack axes gives the same bits.
+    columns 0..j, and a slice of the stack axes gives the same bits. The
+    temporaries are views of ``work`` (2 (k + 1) q[0].size floats, or None);
+    broadcasts span whole columns, as numpy buffers those over short runs.
     """
-    for j in range(q.shape[0]):
-        col = q[j]
-        col /= np.sqrt((col.real ** 2 + col.imag ** 2).sum(axis=0))
-        rest = q[j + 1:]
-        rest -= (col.conj() * rest).sum(axis=1, keepdims=True) * col
+    size = 2 * (len(q) + 1) * q[0].size
+    work = np.empty(size) if work is None else work
+    scratch = work[:size].view(complex).reshape(-1, *q.shape[1:])
+    prod, conj = scratch[:-2], scratch[-2]
+    squares = scratch[-1].reshape(-1).view(float).reshape(2, *q.shape[1:])
+    for j in range(len(q)):
+        col, rest, norm = q[j], q[j + 1:], squares[1, 0, ...]
+        np.add(np.square(col.real, out=squares[0]),
+               np.square(col.imag, out=squares[1]), out=squares[0])
+        np.copyto(conj, np.sqrt(squares[0].sum(axis=0, out=norm), out=norm))
+        col /= conj
+        dots = np.multiply(np.conjugate(col, out=conj), rest, out=prod[:len(rest)])
+        np.copyto(dots, dots.sum(axis=1, keepdims=True, out=conj[:len(rest), None]))
+        rest -= np.multiply(dots, col, out=dots)
     return q
 
 

@@ -5,13 +5,15 @@ import pytest
 
 from dimcert import correlations
 from dimcert.correlations import correlation_data, trace_norm
-from dimcert.criteria import compare_all, sn_covariance
+from dimcert.criteria import (
+    compare_all, sn_ccnr, sn_covariance, sn_trace_norm, sn_two_norm)
 from dimcert.errors import InvalidInputError
 from dimcert.moments import exact_moments
 from dimcert.randsim import predicted_variance
 from dimcert.states import (
     DensityMatrix,
     PureState,
+    as_density,
     extended_basis,
     isotropic,
     max_entangled,
@@ -217,3 +219,22 @@ def test_correlation_data_built_once_per_state(monkeypatch):
         assert not getattr(cached, name).flags.writeable
     predicted_variance(isotropic(3, 0.2), 1000, m8_samples=10_000)
     assert len(builds) == 3
+
+
+def test_pure_state_converted_and_correlated_once(monkeypatch):
+    # the single criteria each take the PureState; it keeps one validated,
+    # read-only DensityMatrix, so its correlation data are built once
+    builds = []
+    build = correlations._build_correlation_data
+    monkeypatch.setattr(correlations, "_build_correlation_data",
+                        lambda rho: builds.append(rho) or build(rho))
+    psi = random_pure(4, 4, 1)
+    criteria = (sn_trace_norm, sn_ccnr, sn_two_norm, sn_covariance)
+    certs = [f(psi).to_dict() for f in criteria]
+    assert len(builds) == 1
+    rho = as_density(psi)
+    assert rho is builds[0] and rho is psi.to_density()
+    assert not rho.matrix.flags.writeable
+    fresh = DensityMatrix(4, 4, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    assert certs == [f(fresh).to_dict() for f in criteria]
+    assert len(builds) == 2
