@@ -279,18 +279,18 @@ def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
     rho = as_density(rho, equal_dims_for=_SAMPLING)
     m_eigs, c2, c4 = _sampling_path(rho.dim_a, path)
     x = _sample_x(rho, n_tot, seed, m_eigs, workers, _NS_MAIN)
-    x2 = x * x
-    x4 = x2 * x2
-    s2 = c2 * float(np.mean(x2))
-    s4 = c4 * float(np.mean(x4))
-    cov = np.cov(np.stack([x2, x4]), ddof=1)
-    std_s2 = c2 * math.sqrt(max(cov[0, 0], 0.0) / n_tot)
-    std_s4 = c4 * math.sqrt(max(cov[1, 1], 0.0) / n_tot)
-    cov_s2s4 = c2 * c4 * cov[0, 1] / n_tot
+    # np.cov's steps on rows x^2, x^4 of one array, centred in place
+    xx = np.empty((2, n_tot))
+    np.multiply(np.multiply(x, x, out=xx[0]), xx[0], out=xx[1])
+    mean = xx.mean(axis=1)
+    s2, s4 = c2 * float(mean[0]), c4 * float(mean[1])
+    xx -= mean[:, None]
+    cov = np.dot(xx, xx.T) * (1 / (n_tot - 1))
     return EstimatorResult(
         s2=s2, s4=s4, n_samples=n_tot, path=path, seed=seed,
-        std_s2=std_s2, std_s4=std_s4, cov_s2s4=cov_s2s4,
-        samples=x if keep_samples else None)
+        std_s2=c2 * math.sqrt(max(cov[0, 0], 0.0) / n_tot),
+        std_s4=c4 * math.sqrt(max(cov[1, 1], 0.0) / n_tot),
+        cov_s2s4=c2 * c4 * cov[0, 1] / n_tot, samples=x if keep_samples else None)
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,21 @@ def test_estimate_handles_partial_final_block():
     assert res.n_samples == 5000
 
 
+@pytest.mark.parametrize("path", ["haar", "bloch"])
+def test_estimate_errors_equal_np_cov_of_the_samples(path):
+    # the in-place covariance repeats np.cov's arithmetic bit for bit
+    rho = random_mixed(5, 5, 3, seed=2)
+    _, c2, c4 = _sampling_path(5, path)
+    res = estimate_moments(rho, 4999, 3, path=path, keep_samples=True)
+    x2 = res.samples ** 2
+    cov = np.cov(np.stack([x2, x2 * x2]), ddof=1)
+    assert res.s2 == c2 * float(np.mean(x2))
+    assert res.s4 == c4 * float(np.mean(x2 * x2))
+    assert res.std_s2 == c2 * np.sqrt(cov[0, 0] / 4999)
+    assert res.std_s4 == c4 * np.sqrt(cov[1, 1] / 4999)
+    assert res.cov_s2s4 == c2 * c4 * cov[0, 1] / 4999
+
+
 def test_estimator_unbiased_over_many_runs():
     truth = exact_moments(me3())
     n_runs, n = 200, 1000
