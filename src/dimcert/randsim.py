@@ -48,7 +48,7 @@ from .states import (_gram_schmidt, _haar_unitaries, as_density, as_rng,
 
 BLOCK = 4096
 MIN_SAMPLES = 100
-# float64 items of each sampling thread's scratch buffer (4.53 MiB)
+# float64 items (4.53 MiB) of the scratch buffer a thread keeps once it has sampled
 _SCRATCH_FLOATS = 145 * BLOCK
 _SCRATCH = threading.local()
 
