@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import secrets
 import sys
 
 import numpy as np
@@ -74,6 +73,7 @@ def _resolve_seed(args):
         if args.seed < 0:
             raise InvalidInputError("--seed must be nonnegative")
         return int(args.seed)
+    import secrets
     return secrets.randbits(32)
 
 

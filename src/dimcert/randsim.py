@@ -32,11 +32,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import (
     InvalidInputError, NumericalConsistencyError, _check_int, _check_real)
@@ -92,7 +90,8 @@ def _resolve_workers(workers):
 
 
 def _block_rng(seed, namespace, block):
-    return Generator(SFC64(SeedSequence([seed, namespace, block])))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([seed, namespace, block])))
 
 
 def haar_unitary(d, rng):
@@ -222,17 +221,16 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
         for lo in range(0, len(out), chunk):
             z = _normals(d, m_eigs, min(chunk, len(out) - lo), rng, buf)
             a, b = _local_vectors(d, m_eigs, z, buf[z.nbytes // 8:]).swapaxes(0, 1)
-            # the product sits at the back; a row at a time does not buffer
+            # the product sits at the back; einsum multiplies and sums unbuffered
             xb = np.matmul(x_su, b, out=buf[len(buf) - a.size:].reshape(a.shape))
-            for a_i, xb_i in zip(a, xb):
-                xb_i *= a_i
-            xb.sum(axis=0, out=out[lo:lo + chunk])
+            np.einsum("gm,gm->m", a, xb, out=out[lo:lo + chunk])
 
     workers = min(_resolve_workers(workers), n_blocks)
     if workers == 1:
         for b in range(n_blocks):
             run_block(b)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, range(n_blocks)))
     return x
@@ -434,7 +432,7 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar",
     def certified(p, step):
         for draw in range(_MAX_DRAWS):
             entropy = [seed, step, draw] if draw else [seed, step]
-            sub = int(SeedSequence(entropy).generate_state(1)[0])
+            sub = int(np.random.SeedSequence(entropy).generate_state(1)[0])
             cert = detect_with_confidence(
                 isotropic(int(d), p), n_tot, k_sigma, sub, path=path,
                 workers=workers).certificate
