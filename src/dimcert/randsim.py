@@ -73,6 +73,13 @@ __all__ = [
 ]
 
 
+def __getattr__(name):  # PEP 562: concurrent.futures loads when a pool is built
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    return globals().setdefault(name, ThreadPoolExecutor)
+
+
 def _resolve_workers(workers):
     if workers is not None:
         return _check_int(workers, "workers")
@@ -230,8 +237,7 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
         for b in range(n_blocks):
             run_block(b)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with __getattr__("ThreadPoolExecutor")(max_workers=workers) as pool:
             list(pool.map(run_block, range(n_blocks)))
     return x
 
@@ -357,8 +363,9 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     space, certifies nothing. At k_sigma=2 and n_tot=1e3 the measured
     false-bound rates are 0 of 2000 runs for isotropic(5, 0.9), 1.5% of
     3000 for isotropic(3, 3/8) and 0.23% of 3000 for isotropic(5, 5/8),
-    against a nominal one-sided tail of 2.28%; states off the isotropic
-    line are not measured yet (ROADMAP.md, open item 1).
+    against a nominal one-sided tail of 2.28%. Off that line the back-off is
+    not yet sound: |00> gets 15.5% false bounds at d=5, k_sigma=2, n_tot=1e3
+    and 2.7% at d=7, k_sigma=3, n_tot=1e4, against nominal 2.28% and 0.135%.
     """
     k_sigma = _check_real(k_sigma, "k_sigma")
     if k_sigma < 0:

@@ -1,6 +1,12 @@
-"""Command-line interface, exercised in process through main()."""
+"""Command-line interface, exercised in process through main() and once in a
+fresh interpreter."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +338,37 @@ def test_reused_parser_matches_fresh_parsers(capsys, bad):
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [1, 0]
     assert cli._parser() is cli._parser()
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import numpy
+    lazy_random = "numpy.random" not in sys.modules
+    import dimcert, dimcert.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        certify = dimcert.cli.main(["certify", "--state", "rho-w"])
+        loaded = sorted(m for m in ("concurrent.futures", "secrets", "numpy.random")
+                        if m in sys.modules)
+        simulate = dimcert.cli.main(["simulate", "--state", "isotropic",
+                                     "--d", "3", "--p", "0.2", "--n", "1000"])
+    print(json.dumps({"lazy_random": lazy_random, "certify": certify,
+                      "loaded": loaded, "simulate": simulate,
+                      "random_after": "numpy.random" in sys.modules}))
+""")
+
+
+def test_exact_run_leaves_sampling_stack_unloaded():
+    # a fresh interpreter: an exact certify loads no thread pool, no secrets
+    # and, where numpy loads it lazily (numpy >= 2), no numpy.random
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout)
+    assert probe["certify"] == 0 and probe["simulate"] == 0
+    unloaded = {"concurrent.futures", "secrets"}
+    if probe["lazy_random"]:
+        unloaded.add("numpy.random")
+    assert not unloaded & set(probe["loaded"]), probe["loaded"]
+    assert probe["random_after"]

@@ -8,6 +8,7 @@ import pytest
 from dimcert.correlations import _basis_matrix, correlation_data
 from dimcert.errors import InvalidInputError
 from dimcert.moments import exact_moments
+from dimcert import randsim
 from dimcert.randsim import (
     BLOCK,
     _NS_MAIN,
@@ -308,6 +309,23 @@ def test_estimate_worker_count_invariance():
     b = estimate_moments(rho, 3 * BLOCK + 700, seed=9, workers=2,
                          keep_samples=True)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_pool_class_is_read_from_the_module(monkeypatch):
+    # randsim.ThreadPoolExecutor resolves on first use, and a class bound
+    # there is the pool sampling builds (a tracer can count its workers)
+    built = []
+
+    class Pool(randsim.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(randsim, "ThreadPoolExecutor", Pool)
+    estimate_moments(me3(), 3 * BLOCK, seed=9, workers=2)
+    assert built == [2]
+    with pytest.raises(AttributeError, match="no attribute 'SFC64'"):
+        randsim.SFC64
 
 
 def test_estimate_env_thread_override(monkeypatch):
