@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # PEP 562: concurrent.futures loads when a pool is built
+def __getattr__(name):  # PEP 562: pool class on first use; a tracer may rebind it
     if name != "ThreadPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ThreadPoolExecutor
