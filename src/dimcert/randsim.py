@@ -41,8 +41,8 @@ from .errors import (
 from .boundary import classify_point
 from .correlations import correlation_data
 from .moments import exact_moments
-from .states import (_gram_schmidt, _haar_unitaries, as_density, as_rng,
-                     extended_basis, isotropic)
+from .states import (_haar_unitaries, as_density, as_rng, extended_basis,
+                     isotropic)
 
 BLOCK = 4096
 MIN_SAMPLES = 100
@@ -156,23 +156,24 @@ def _sampling_path(d, path):
 
 
 def _normals(d, m_eigs, m, rng, buf=None):
-    """m draws of normals for both stacks, at the front of ``buf`` if given.
+    """m draws for both stacks, at the front of ``buf`` if given.
 
-    "bloch": (d^2 - 1, 2, m), (2, m, d^2 - 1) in memory. "haar": the
-    (d + 1)/2 Ginibre columns (k, d, 2, m) that the probing spectrum needs."""
-    shape = (2, m, d * d - 1) if m_eigs is None else ((d + 1) // 2, d, 2 * m, 2)
+    "bloch": normals (d^2 - 1, 2, m), (2, m, d^2 - 1) in memory. "haar": the
+    (d + 1)/2 leading Haar columns (k, d, 2, m) that the probing spectrum
+    needs, drawn by _haar_unitaries."""
+    if m_eigs is not None:
+        return _haar_unitaries((2, m), d, rng, (d + 1) // 2, buf)
+    shape = (2, m, d * d - 1)
     raw = rng.standard_normal(out=np.empty(shape) if buf is None else
                               buf[:math.prod(shape)].reshape(shape))
-    if m_eigs is None:
-        return raw.transpose(2, 0, 1)
-    return raw.view(np.complex128).reshape(*shape[:2], 2, m)
+    return raw.transpose(2, 0, 1)
 
 
 def _local_vectors(d, m_eigs, z, work=None):
-    """The local su(d) vectors of a chunk of normals, shape (d^2 - 1, 2, m).
+    """The local su(d) vectors of a chunk of draws, shape (d^2 - 1, 2, m).
 
     "bloch" (no probing spectrum): z normalised in place, uniform on the
-    unit sphere. "haar": z is orthonormalised in place; entry g is tr(A g)
+    unit sphere. "haar": z holds the leading columns of U; entry g is tr(A g)
     for A = U M U^dag = sum_{j<k} c_j u_j u_j^dag + m_last I, c_j = m_j -
     m_last, so |a|^2 = tr M^2 = d. Row a of A right of its diagonal gives
     the symmetric and antisymmetric components sqrt(2) Re and -sqrt(2) Im;
@@ -188,18 +189,17 @@ def _local_vectors(d, m_eigs, z, work=None):
             np.copyto(squares, np.sqrt(norm, out=norm)[:, None])
             stack /= squares
         return z
-    u = _gram_schmidt(z, work)
-    k, half = len(u), d * (d - 1) // 2
+    k, half = len(z), d * (d - 1) // 2
     vecs, diag = np.split(work[:2 * (n + d) * m].reshape(n + d, 2, m), [n])
     cu, prod, row = np.split(work[2 * (n + d) * m:].view(complex)[
         :2 * (2 * k + 1) * d * m].reshape(2 * k + 1, d, 2, m), [k, 2 * k])
-    # row a of cu * u is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
-    np.multiply(np.conjugate(u, out=cu),
+    # row a of cu * z is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
+    np.multiply(np.conjugate(z, out=cu),
                 (m_eigs[:k] - m_eigs[-1] + 0j)[:, None, None, None], out=cu)
     for a in range(d):
         for j in range(k):
             for b in range(a, d):
-                np.multiply(cu[j, a], u[j, b], out=prod[j, b])
+                np.multiply(cu[j, a], z[j, b], out=prod[j, b])
         r = prod[:, a:].sum(axis=0, out=row[0, a:])
         lo = a * (2 * d - a - 1) // 2
         hi = lo + d - 1 - a

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -372,7 +373,8 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     pure state on the rank x rank subsystem is embedded and rotated by
     independent Haar local unitaries, which fixes the Schmidt rank exactly
     (with probability one) while keeping the distribution locally unitarily
-    invariant.
+    invariant. Only the rank leading columns of each unitary meet the
+    embedded state, so only those are drawn.
     """
     da = _check_int(dim_a, "dim_a", 2)
     db = _check_int(dim_b, "dim_b", 2)
@@ -384,45 +386,72 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     r = _check_int(schmidt_rank, "schmidt_rank", 1, min(da, db))
     core = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     core /= np.linalg.norm(core)
-    coeff = np.zeros((da, db), dtype=np.complex128)
-    coeff[:r, :r] = core
-    coeff = _haar_unitaries((), da, rng).T @ coeff @ _haar_unitaries((), db, rng)
+    if da == db:  # one stack of both: half the kernel's fixed cost
+        ua, ub = np.moveaxis(_haar_unitaries((2,), da, rng, r), -1, 0)
+    else:
+        ua, ub = _haar_unitaries((), da, rng, r), _haar_unitaries((), db, rng, r)
+    coeff = ua.T @ core @ ub
     return PureState(da, db, coeff.reshape(-1))
 
 
-def _haar_unitaries(shape, d, rng):
-    """Haar-random d x d unitaries stacked to ``shape``, as ``(d, d, *shape)``.
+def _haar_unitaries(shape, d, rng, k=None, buf=None):
+    """The k leading columns (all d by default) of Haar-random d x d unitaries
+    stacked to ``shape``, as ``(k, d, *shape)``: column j sits at ``[j]``.
 
-    Column j sits at ``[j]``, drawn as normals ``(d, *shape, 2)``.
+    Nested Householder reflections (Stewart, SIAM J. Numer. Anal. 17 (1980)
+    403; Mezzadri, math-ph/0609050). Column i draws d - i complex normals
+    into rows i.. of its slot, in column order, and is scaled to v_i, uniform
+    on the unit sphere of C^(d-i). The reflections R_(i-1), ..., R_0 of the
+    earlier columns then place it in their orthogonal complement: R_l acts on
+    coordinates l.. as I - 2 w w^dag / w^dag w, w = v_l + e^(i arg v_l[0]) e_0
+    (e_0 where v_l[0] = 0). So k columns read a prefix of the stream of d and
+    give the same leading columns. Slots and temporaries are views of ``buf``
+    (at least 4 k (d + k + 1) prod(shape) float64 items, or None).
     """
-    q = rng.standard_normal((d, d, *shape, 2)).view(np.complex128)[..., 0]
-    return _gram_schmidt(q)
-
-
-def _gram_schmidt(q, work=None):
-    """Orthonormalise the columns ``q[j]`` of a ``(k, d, ...)`` stack in place.
-
-    On complex Ginibre columns this is the Q of Z = QR with a positive R
-    diagonal, exactly Haar (Mezzadri, math-ph/0609050). Column j needs only
-    columns 0..j, and a slice of the stack axes gives the same bits. The
-    temporaries are views of ``work`` (2 (k + 1) q[0].size floats, or None);
-    broadcasts span whole columns, as numpy buffers those over short runs.
-    """
-    size = 2 * (len(q) + 1) * q[0].size
-    work = np.empty(size) if work is None else work
-    scratch = work[:size].view(complex).reshape(-1, *q.shape[1:])
-    prod, conj = scratch[:-2], scratch[-2]
-    squares = scratch[-1].reshape(-1).view(float).reshape(2, *q.shape[1:])
-    for j in range(len(q)):
-        col, rest, norm = q[j], q[j + 1:], squares[1, 0, ...]
-        np.add(np.square(col.real, out=squares[0]),
-               np.square(col.imag, out=squares[1]), out=squares[0])
-        np.copyto(conj, np.sqrt(squares[0].sum(axis=0, out=norm), out=norm))
-        col /= conj
-        dots = np.multiply(np.conjugate(col, out=conj), rest, out=prod[:len(rest)])
-        np.copyto(dots, dots.sum(axis=1, keepdims=True, out=conj[:len(rest), None]))
-        rest -= np.multiply(dots, col, out=dots)
-    return q
+    k = d if k is None else k
+    n = math.prod(shape)
+    size = 4 * k * (d + k + 1) * n
+    c = (np.empty(size) if buf is None else buf[:size]).view(complex)
+    q, prod = c[:2 * k * d * n].reshape(2, k, d, n)
+    dots, tmp = c[2 * k * d * n:2 * k * (d + 1) * n].reshape(2, k, n)
+    phase, tau = c[2 * k * (d + 1) * n:].reshape(2, k, k, n)
+    for i in range(k):
+        col = q[i, i:].view(float)
+        rng.standard_normal(out=col)
+        np.add.reduce(np.square(col, out=prod[0, i:].view(float)), axis=0,
+                      out=dots[i].view(float))
+    pairs = dots.view(float).reshape(k, n, 2)
+    norm = np.add(pairs[..., 0], pairs[..., 1], out=tmp.real)
+    np.divide(1, np.sqrt(norm, out=norm), out=norm)
+    tmp.imag = 0
+    # numpy buffers a broadcast or a strided output over short runs, so
+    # operands are widened by copyto and written back by copyto
+    for i in range(k):
+        np.copyto(prod[0, i:], tmp[i])
+        q[i, i:] *= prod[0, i:]
+    # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to each later
+    # column y, whose row l is still 0, so that row becomes -e^(i arg v_l[0])
+    # w^dag y. -e^(i arg) and -tau of each level, widened over later columns:
+    lead = tmp[:k - 1]
+    np.copyto(lead, q.reshape(k * d, n)[:(k - 1) * (d + 1):d + 1])
+    mod = np.negative(np.abs(lead, out=dots.real[:k - 1]), out=dots.real[:k - 1])
+    flag = phase[-1].reshape(-1).view(bool)[:(k - 1) * n].reshape(k - 1, n)
+    np.not_equal(mod, 0, out=flag)
+    np.divide(lead.real, mod, out=lead.real, where=flag)
+    np.divide(lead.imag, mod, out=lead.imag, where=flag)
+    np.copyto(lead.real, -1, where=np.logical_not(flag, out=flag))
+    np.copyto(phase[:k - 1], lead[:, None])
+    np.divide(1, np.subtract(mod, 1, out=mod), out=mod)
+    np.copyto(tau[:k - 1], mod[:, None])
+    for l in range(k - 2, -1, -1):
+        v, rest = q[l, l + 1:], q[l + 1:, l + 1:]
+        p, later = prod[:k - l - 1, :d - l - 1], slice(l + 1, k)
+        dot = np.add.reduce(np.multiply(np.conjugate(v, out=prod[-1, l + 1:]),
+                                        rest, out=p), axis=1, out=dots[later])
+        np.copyto(q[later, l], np.multiply(dot, phase[l, :len(p)], out=tmp[later]))
+        np.copyto(p, np.multiply(dot, tau[l, :len(p)], out=dot)[:, None])
+        rest += np.multiply(p, v, out=p)
+    return q.reshape(k, d, *shape)
 
 
 def random_mixed(dim_a, dim_b, rank, seed):

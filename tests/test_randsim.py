@@ -27,7 +27,6 @@ from dimcert.randsim import (
 )
 from dimcert.states import (
     PureState,
-    _gram_schmidt,
     _haar_unitaries,
     isotropic,
     max_entangled,
@@ -81,18 +80,16 @@ def test_haar_unitary_accepts_seed_or_none():
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
-class _Fixed:
-    """A stand-in generator that hands out a fresh copy of fixed normals.
+class _Recording:
+    """A generator that keeps a copy of every array of normals it hands out."""
 
-    The copy matters: ``_haar_unitaries`` orthonormalises its draw in place.
-    """
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
 
-    def __init__(self, raw):
-        self.raw = raw
-
-    def standard_normal(self, shape):
-        assert shape == self.raw.shape
-        return self.raw.copy()
+    def standard_normal(self, out):
+        out[...] = self.rng.standard_normal(out.shape)
+        self.draws.append(out.copy())
+        return out
 
 
 def _as_matrices(u):
@@ -100,38 +97,59 @@ def _as_matrices(u):
     return np.moveaxis(u, (0, 1), (-1, -2))
 
 
+def _reflected_columns(x):
+    """Reference construction from explicit matrices: the unit vectors v_i of
+    the drawn columns x_i (length d - i), each placed in rows i.. and sent
+    through the reflections I - 2 w w^dag / (w^dag w) of the earlier columns,
+    w = v_l + e^(i arg v_l[0]) e_0 on coordinates l.."""
+    d = len(x[0])
+    cols, reflections = [], []
+    for i, xi in enumerate(x):
+        v = np.zeros(d, dtype=complex)
+        v[i:] = xi / np.linalg.norm(xi)
+        w = v.copy()
+        w[i] += v[i] / abs(v[i])
+        refl = np.eye(d, dtype=complex)
+        refl[i:, i:] -= 2 * np.outer(w[i:], w[i:].conj()) / np.vdot(w, w).real
+        for r in reversed(reflections):
+            v = r @ v
+        cols.append(v)
+        reflections.append(refl)
+    return np.array(cols)
+
+
 @pytest.mark.parametrize("d", range(2, 8))
-def test_gram_schmidt_matches_phase_fixed_qr(d):
-    # the Q of QR with R's diagonal phases moved into Q, on the same normals;
-    # raw[j, i, s] holds entry (i, j) of Ginibre matrix s
-    raw = np.random.default_rng(d).standard_normal((d, d, 3, 700, 2))
-    z = _as_matrices(raw[..., 0] + 1j * raw[..., 1])
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    ref = q * (diag / np.abs(diag))[..., None, :]
-    u = _haar_unitaries((3, 700), d, _Fixed(raw))
-    assert u.shape == (d, d, 3, 700)
-    assert np.max(np.abs(_as_matrices(u) - ref)) < 1e-12
-    for k in range(1, d + 1):
-        lead = _gram_schmidt(raw[:k].copy().view(np.complex128)[..., 0])
-        assert np.max(np.abs(lead - u[:k])) < 1e-14
+def test_householder_matches_explicit_reflections(d):
+    # column i reads one array of (d - i) normals per stack entry, in column
+    # order; each stack entry rebuilt from its own normals, one matrix at a time
+    rec = _Recording(d)
+    u = _haar_unitaries((3, 70), d, rec)
+    assert u.shape == (d, d, 3, 70)
+    assert [x.shape for x in rec.draws] == [(d - i, 420) for i in range(d)]
+    x = [raw.view(np.complex128).reshape(d - i, 3, 70)
+         for i, raw in enumerate(rec.draws)]
+    worst = max(np.max(np.abs(_reflected_columns([xi[:, s, t] for xi in x])
+                              - u[:, :, s, t]))
+                for s in range(3) for t in range(70))
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_fewer_columns_draw_a_prefix_of_the_same_stream(d):
-    # the column axis is outermost, so the k = (d+1)/2 columns a block draws
-    # read the first k * d * 2 normals per stack entry of the full draw from
-    # the same block key, and give the leading columns of the same unitaries
+    # column i draws its rows i.. in column order, so the k leading columns
+    # read a prefix of the full draw from the same block key and give the
+    # leading columns of the same unitaries, for the sampler's k = (d+1)/2
     full = _haar_unitaries((2 * 500,), d, _block_rng(5, _NS_MAIN, 3))
-    k = (d + 1) // 2
     z = _normals(d, _observable_m(d), 500, _block_rng(5, _NS_MAIN, 3))
-    assert z.shape == (k, d, 2, 500)
-    lead = _gram_schmidt(z).reshape(k, d, 1000)
-    assert np.max(np.abs(lead - full[:k])) < 1e-14
+    assert z.shape == ((d + 1) // 2, d, 2, 500)
+    assert np.array_equal(z.reshape(-1, d, 1000), full[:len(z)])
+    for k in range(1, d + 1):
+        lead = _haar_unitaries((1000,), d, _block_rng(5, _NS_MAIN, 3), k)
+        assert np.array_equal(lead, full[:k])
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_gram_schmidt_unitary_over_a_million_draws(d):
+def test_haar_unitaries_unitary_over_a_million_draws(d):
     rng = np.random.default_rng(100 + d)
     worst = 0.0
     for _ in range(2 ** 20 // 2 ** 13):
@@ -139,6 +157,23 @@ def test_gram_schmidt_unitary_over_a_million_draws(d):
         gram = u.conj().swapaxes(-1, -2) @ u
         worst = max(worst, float(np.max(np.abs(gram - np.eye(d)))))
     assert worst < 1e-11
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_haar_columns_fourth_moments(d):
+    # Haar: E|U_ij|^4 = 2/(d(d+1)) and E|U_ij|^2 |U_il|^2 = 1/(d(d+1)) for
+    # j != l; each column apart, which isotropy of U M U^dag cannot see
+    draws, rng = 2 ** 16, np.random.default_rng(60 + d)
+    sq = np.concatenate([np.abs(_haar_unitaries((2 ** 12,), d, rng)) ** 2
+                         for _ in range(draws // 2 ** 12)], axis=-1)
+    for stat, want in ((sq * sq, 2 / (d * (d + 1))),
+                       (sq[:, None] * sq[None, :], 1 / (d * (d + 1)))):
+        mean = stat.mean(axis=-1)
+        se = stat.std(axis=-1) / np.sqrt(draws)
+        off = np.abs(mean - want) < 5 * se
+        if stat.ndim == 4:  # pairs of columns j != l of each row
+            off |= np.eye(d, dtype=bool)[:, :, None]
+        assert np.all(off)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
@@ -198,7 +233,7 @@ def test_haar_samples_match_kron_reference(rho, n):
     # x = Re tr(rho (U M U^dag (x) V M V^dag)) with the unitaries of each
     # chunk; past BLOCK the run crosses chunks and ends in a partial block.
     # Each chunk draws the k leading columns of U and V; U M U^dag does not
-    # depend on the other columns, so independent normals complete them.
+    # depend on the other columns, so any orthonormal completion will do
     d, seed = rho.dim_a, 13
     x = estimate_moments(rho, n, seed, path="haar", keep_samples=True).samples
     m_eigs = _observable_m(d)
@@ -206,10 +241,13 @@ def test_haar_samples_match_kron_reference(rho, n):
     ref = []
     for b, start in enumerate(range(0, n, BLOCK)):
         size = min(BLOCK, n - start)
-        lead = _block_normals(d, m_eigs, size, seed, b).reshape(-1, d, 2 * size)
-        rest = pad.standard_normal((d - len(lead), d, 2 * size, 2))
-        u = _as_matrices(_gram_schmidt(np.concatenate(
-            [lead, rest.view(np.complex128)[..., 0]])))
+        lead = _as_matrices(
+            _block_normals(d, m_eigs, size, seed, b).reshape(-1, d, 2 * size))
+        k = lead.shape[-1]
+        q = np.linalg.qr(np.concatenate(
+            [lead, pad.standard_normal((2 * size, d, d - k))], axis=-1))[0]
+        u = np.concatenate([lead, q[..., k:]], axis=-1)
+        assert np.allclose(u.conj().swapaxes(-1, -2) @ u, np.eye(d), atol=1e-12)
         ref += [np.trace(rho.matrix @ np.kron(a @ m @ a.conj().T,
                                               v @ m @ v.conj().T)).real
                 for a, v in zip(u[:size], u[size:])]
@@ -547,8 +585,11 @@ def test_noise_tolerance_redraws_void_probes():
     voids = next(i for i, e in enumerate(res.evaluations) if e != (0.0, 1))
     assert voids >= 1
     assert res.evaluations[voids] == (0.0, 3)
+    # then the p=1 probe and the bisection, which ends inside [0, analytic]
     assert res.evaluations[voids + 1][0] == 1.0
-    assert 0.3 < res.simulated_threshold <= res.analytic_threshold
+    assert all(0 < p < 1 for p, _ in res.evaluations[voids + 2:])
+    assert len(res.evaluations) > voids + 2
+    assert 0.0 <= res.simulated_threshold <= res.analytic_threshold
 
 
 def test_noise_tolerance_deterministic():
