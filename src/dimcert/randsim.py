@@ -11,10 +11,9 @@ local vectors a, b; one contraction sum(a * (X_su @ b), axis=0) follows:
   only). M is the traceless observable, unique up to conjugation, with
   tr M^2 = d whose rotations estimate both moments; its spectrum has a
   closed form. The last (d-1)/2 eigenvalues of M are equal, so only the
-  first (d+1)/2 columns of U are drawn and orthonormalised
-  (Gram-Schmidt, exactly Haar), with the draws of a block along the last
-  axis, and the components come from elementwise products of those
-  columns.
+  first (d+1)/2 columns of U are drawn, by nested Householder reflections
+  (exactly Haar), with a block's draws along the last axis; the components
+  come from elementwise products of those columns.
 * "bloch": unit vectors uniform on the (d^2-1)-sphere.
 
 Averages of x^2 and x^4, rescaled by the path constants, estimate
@@ -159,14 +158,12 @@ def _normals(d, m_eigs, m, rng, buf=None):
     """m draws for both stacks, at the front of ``buf`` if given.
 
     "bloch": normals (d^2 - 1, 2, m), (2, m, d^2 - 1) in memory. "haar": the
-    (d + 1)/2 leading Haar columns (k, d, 2, m) that the probing spectrum
-    needs, drawn by _haar_unitaries."""
+    (d + 1)/2 leading Haar columns (k, d, 2, m) the probing spectrum needs."""
     if m_eigs is not None:
         return _haar_unitaries((2, m), d, rng, (d + 1) // 2, buf)
-    shape = (2, m, d * d - 1)
-    raw = rng.standard_normal(out=np.empty(shape) if buf is None else
-                              buf[:math.prod(shape)].reshape(shape))
-    return raw.transpose(2, 0, 1)
+    raw = (np.empty((2, m, d * d - 1)) if buf is None
+           else buf[:2 * m * (d * d - 1)].reshape(2, m, -1))
+    return rng.standard_normal(out=raw).transpose(2, 0, 1)
 
 
 def _local_vectors(d, m_eigs, z, work=None):

@@ -374,7 +374,7 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     independent Haar local unitaries, which fixes the Schmidt rank exactly
     (with probability one) while keeping the distribution locally unitarily
     invariant. Only the rank leading columns of each unitary meet the
-    embedded state, so only those are drawn.
+    embedded state, so only those are drawn, in one stack when d_a = d_b.
     """
     da = _check_int(dim_a, "dim_a", 2)
     db = _check_int(dim_b, "dim_b", 2)
@@ -386,71 +386,60 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
     r = _check_int(schmidt_rank, "schmidt_rank", 1, min(da, db))
     core = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     core /= np.linalg.norm(core)
-    if da == db:  # one stack of both: half the kernel's fixed cost
-        ua, ub = np.moveaxis(_haar_unitaries((2,), da, rng, r), -1, 0)
-    else:
-        ua, ub = _haar_unitaries((), da, rng, r), _haar_unitaries((), db, rng, r)
+    ua, ub = (np.moveaxis(_haar_unitaries((2,), da, rng, r), -1, 0) if da == db
+              else [_haar_unitaries((), dim, rng, r) for dim in (da, db)])
     coeff = ua.T @ core @ ub
     return PureState(da, db, coeff.reshape(-1))
 
 
 def _haar_unitaries(shape, d, rng, k=None, buf=None):
-    """The k leading columns (all d by default) of Haar-random d x d unitaries
-    stacked to ``shape``, as ``(k, d, *shape)``: column j sits at ``[j]``.
+    """The k leading columns (all d by default) of Haar d x d unitaries stacked
+    to ``shape``, as ``(k, d, *shape)``; temporaries are views of ``buf``.
 
-    Nested Householder reflections (Stewart, SIAM J. Numer. Anal. 17 (1980)
-    403; Mezzadri, math-ph/0609050). Column i draws d - i complex normals
-    into rows i.. of its slot, in column order, and is scaled to v_i, uniform
-    on the unit sphere of C^(d-i). The reflections R_(i-1), ..., R_0 of the
-    earlier columns then place it in their orthogonal complement: R_l acts on
-    coordinates l.. as I - 2 w w^dag / w^dag w, w = v_l + e^(i arg v_l[0]) e_0
-    (e_0 where v_l[0] = 0). So k columns read a prefix of the stream of d and
-    give the same leading columns. Slots and temporaries are views of ``buf``
-    (at least 4 k (d + k + 1) prod(shape) float64 items, or None).
+    Column i draws d - i complex normals into rows i.., in column order (so k
+    columns read a prefix of the stream of d), is scaled to v_i, uniform on
+    the sphere of C^(d-i), and is reflected into the complement of the earlier
+    columns (Stewart, SIAM J. Numer. Anal. 17 (1980) 403; Mezzadri,
+    math-ph/0609050) by R_l = I - 2 w w^dag / w^dag w on coordinates l..,
+    l < i, w = v_l + e^(i arg v_l[0]) e_0 (e_0 if v_l[0] = 0).
     """
     k = d if k is None else k
     n = math.prod(shape)
-    size = 4 * k * (d + k + 1) * n
+    size = 4 * k * (d + 2) * n
     c = (np.empty(size) if buf is None else buf[:size]).view(complex)
     q, prod = c[:2 * k * d * n].reshape(2, k, d, n)
-    dots, tmp = c[2 * k * d * n:2 * k * (d + 1) * n].reshape(2, k, n)
-    phase, tau = c[2 * k * (d + 1) * n:].reshape(2, k, k, n)
+    dots = c[2 * k * d * n:(2 * d + 1) * k * n].reshape(k, n)
+    w0, e, tau = c[(2 * d + 1) * k * n:][:3 * (k - 1) * n].reshape(3, k - 1, n)
     for i in range(k):
-        col = q[i, i:].view(float)
-        rng.standard_normal(out=col)
+        col = rng.standard_normal(out=q[i, i:].view(float))
         np.add.reduce(np.square(col, out=prod[0, i:].view(float)), axis=0,
                       out=dots[i].view(float))
-    pairs = dots.view(float).reshape(k, n, 2)
-    norm = np.add(pairs[..., 0], pairs[..., 1], out=tmp.real)
+    norm = np.add(dots.real, dots.imag, out=dots.real)
     np.divide(1, np.sqrt(norm, out=norm), out=norm)
-    tmp.imag = 0
-    # numpy buffers a broadcast or a strided output over short runs, so
-    # operands are widened by copyto and written back by copyto
+    dots.imag = 0
+    # numpy buffers a broadcast over short runs of contiguous operands (and
+    # allocates), so those are widened by copyto first
     for i in range(k):
-        np.copyto(prod[0, i:], tmp[i])
+        np.copyto(prod[0, i:], dots[i])
         q[i, i:] *= prod[0, i:]
-    # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to each later
-    # column y, whose row l is still 0, so that row becomes -e^(i arg v_l[0])
-    # w^dag y. -e^(i arg) and -tau of each level, widened over later columns:
-    lead = tmp[:k - 1]
-    np.copyto(lead, q.reshape(k * d, n)[:(k - 1) * (d + 1):d + 1])
-    mod = np.negative(np.abs(lead, out=dots.real[:k - 1]), out=dots.real[:k - 1])
-    flag = phase[-1].reshape(-1).view(bool)[:(k - 1) * n].reshape(k - 1, n)
-    np.not_equal(mod, 0, out=flag)
-    np.divide(lead.real, mod, out=lead.real, where=flag)
-    np.divide(lead.imag, mod, out=lead.imag, where=flag)
-    np.copyto(lead.real, -1, where=np.logical_not(flag, out=flag))
-    np.copyto(phase[:k - 1], lead[:, None])
-    np.divide(1, np.subtract(mod, 1, out=mod), out=mod)
-    np.copyto(tau[:k - 1], mod[:, None])
+    # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to a later column
+    # y; its row l is still 0, so w^dag y = v_l^dag y and row l = w_0 (...)
+    np.copyto(w0, q.reshape(k * d, n)[:(k - 1) * (d + 1):d + 1])
+    mod, flag = dots[:k - 1], prod.reshape(-1).view(bool)[:(k - 1) * n]
+    flag = np.not_equal(np.abs(w0, out=mod.real), 0, out=flag.reshape(k - 1, n))
+    e[...] = 1
+    np.divide(w0, mod, out=e, where=flag)
+    w0 += e
+    np.divide(-1, np.add(mod, 1, out=mod), out=tau)
     for l in range(k - 2, -1, -1):
-        v, rest = q[l, l + 1:], q[l + 1:, l + 1:]
-        p, later = prod[:k - l - 1, :d - l - 1], slice(l + 1, k)
-        dot = np.add.reduce(np.multiply(np.conjugate(v, out=prod[-1, l + 1:]),
-                                        rest, out=p), axis=1, out=dots[later])
-        np.copyto(q[later, l], np.multiply(dot, phase[l, :len(p)], out=tmp[later]))
-        np.copyto(p, np.multiply(dot, tau[l, :len(p)], out=dot)[:, None])
+        v, rest, row = q[l, l + 1:], q[l + 1:, l + 1:], q[l + 1:, l]
+        p = prod[:k - l - 1, :d - l - 1]
+        np.add.reduce(np.multiply(np.conjugate(v, out=prod[-1, l + 1:]), rest,
+                                  out=p), axis=1, out=row)
+        row *= tau[l]
+        np.copyto(p, row[:, None])
         rest += np.multiply(p, v, out=p)
+        row *= w0[l]
     return q.reshape(k, d, *shape)
 
 

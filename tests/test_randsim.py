@@ -81,13 +81,16 @@ def test_haar_unitary_accepts_seed_or_none():
 
 
 class _Recording:
-    """A generator that keeps a copy of every array of normals it hands out."""
+    """A generator that keeps a copy of every array of normals it hands out;
+    with ``zero_lead`` the first entry of each column longer than one is 0."""
 
-    def __init__(self, seed):
-        self.rng, self.draws = np.random.default_rng(seed), []
+    def __init__(self, seed, zero_lead=False):
+        self.rng, self.draws, self.zero_lead = np.random.default_rng(seed), [], zero_lead
 
     def standard_normal(self, out):
         out[...] = self.rng.standard_normal(out.shape)
+        if self.zero_lead and len(out) > 1:
+            out[0] = 0
         self.draws.append(out.copy())
         return out
 
@@ -108,7 +111,7 @@ def _reflected_columns(x):
         v = np.zeros(d, dtype=complex)
         v[i:] = xi / np.linalg.norm(xi)
         w = v.copy()
-        w[i] += v[i] / abs(v[i])
+        w[i] += v[i] / abs(v[i]) if v[i] else 1
         refl = np.eye(d, dtype=complex)
         refl[i:, i:] -= 2 * np.outer(w[i:], w[i:].conj()) / np.vdot(w, w).real
         for r in reversed(reflections):
@@ -118,11 +121,13 @@ def _reflected_columns(x):
     return np.array(cols)
 
 
+@pytest.mark.parametrize("zero_lead", [False, True], ids=["drawn", "zero-lead"])
 @pytest.mark.parametrize("d", range(2, 8))
-def test_householder_matches_explicit_reflections(d):
+def test_householder_matches_explicit_reflections(d, zero_lead):
     # column i reads one array of (d - i) normals per stack entry, in column
-    # order; each stack entry rebuilt from its own normals, one matrix at a time
-    rec = _Recording(d)
+    # order; each stack entry rebuilt from its own normals, one matrix at a
+    # time; a leading entry v_l[0] = 0 takes the reflection with e_0
+    rec = _Recording(d, zero_lead)
     u = _haar_unitaries((3, 70), d, rec)
     assert u.shape == (d, d, 3, 70)
     assert [x.shape for x in rec.draws] == [(d - i, 420) for i in range(d)]
