@@ -394,7 +394,7 @@ def random_pure(dim_a, dim_b, seed, schmidt_rank=None):
 
 def _haar_unitaries(shape, d, rng, k=None, buf=None):
     """The k leading columns (all d by default) of Haar d x d unitaries stacked
-    to ``shape``, as ``(k, d, *shape)``; temporaries are views of ``buf``.
+    to ``shape``, as ``(k, d, *shape)``, in ``buf`` with all temporaries.
 
     Column i draws d - i complex normals into rows i.., in column order (so k
     columns read a prefix of the stream of d), is scaled to v_i, uniform on
@@ -423,7 +423,7 @@ def _haar_unitaries(shape, d, rng, k=None, buf=None):
         np.copyto(prod[0, i:], dots[i])
         q[i, i:] *= prod[0, i:]
     # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to a later column
-    # y; its row l is still 0, so w^dag y = v_l^dag y and row l = w_0 (...)
+    # y whose row l is 0: w^dag y = v_l^dag y, and row l gets w_0 (-tau w^dag y)
     np.copyto(w0, q.reshape(k * d, n)[:(k - 1) * (d + 1):d + 1])
     mod, flag = dots[:k - 1], prod.reshape(-1).view(bool)[:(k - 1) * n]
     flag = np.not_equal(np.abs(w0, out=mod.real), 0, out=flag.reshape(k - 1, n))
