@@ -85,7 +85,8 @@ class _Recording:
     with ``zero_lead`` the first entry of each column longer than one is 0."""
 
     def __init__(self, seed, zero_lead=False):
-        self.rng, self.draws, self.zero_lead = np.random.default_rng(seed), [], zero_lead
+        self.rng, self.draws = np.random.default_rng(seed), []
+        self.zero_lead = zero_lead
 
     def standard_normal(self, out):
         out[...] = self.rng.standard_normal(out.shape)
@@ -167,18 +168,19 @@ def test_haar_unitaries_unitary_over_a_million_draws(d):
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_haar_columns_fourth_moments(d):
     # Haar: E|U_ij|^4 = 2/(d(d+1)) and E|U_ij|^2 |U_il|^2 = 1/(d(d+1)) for
-    # j != l; each column apart, which isotropy of U M U^dag cannot see
+    # j != l, column by column, which isotropy of U M U^dag cannot see; over
+    # 2^16 draws of the kernel haar_unitary calls, within 5 standard errors
     draws, rng = 2 ** 16, np.random.default_rng(60 + d)
-    sq = np.concatenate([np.abs(_haar_unitaries((2 ** 12,), d, rng)) ** 2
-                         for _ in range(draws // 2 ** 12)], axis=-1)
-    for stat, want in ((sq * sq, 2 / (d * (d + 1))),
-                       (sq[:, None] * sq[None, :], 1 / (d * (d + 1)))):
-        mean = stat.mean(axis=-1)
-        se = stat.std(axis=-1) / np.sqrt(draws)
-        off = np.abs(mean - want) < 5 * se
-        if stat.ndim == 4:  # pairs of columns j != l of each row
-            off |= np.eye(d, dtype=bool)[:, :, None]
-        assert np.all(off)
+    total = total_sq = 0
+    for _ in range(draws // 2 ** 12):
+        sq = np.abs(_haar_unitaries((2 ** 12,), d, rng)) ** 2  # [j, i, draw]
+        stat = sq[:, None] * sq[None, :]  # [j, l, i, draw]
+        total = total + stat.sum(axis=-1)
+        total_sq = total_sq + (stat * stat).sum(axis=-1)
+    mean = total / draws
+    se = np.sqrt((total_sq / draws - mean ** 2) / draws)
+    want = np.where(np.eye(d, dtype=bool)[:, :, None], 2, 1) / (d * (d + 1))
+    assert np.all(np.abs(mean - want) < 5 * se)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
