@@ -422,8 +422,8 @@ def _haar_unitaries(shape, d, rng, k=None, buf=None):
     for i in range(k):
         np.copyto(prod[0, i:], dots[i])
         q[i, i:] *= prod[0, i:]
-    # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to a later column
-    # y whose row l is 0: w^dag y = v_l^dag y, and row l gets w_0 (-tau w^dag y)
+    # R_l adds -tau (w^dag y) w, tau = 1 / (1 + |v_l[0]|), to a later column y;
+    # its row l is 0 (unwritten): w^dag y = v_l^dag y, row l = w_0 (-tau w^dag y)
     np.copyto(w0, q.reshape(k * d, n)[:(k - 1) * (d + 1):d + 1])
     mod, flag = dots[:k - 1], prod.reshape(-1).view(bool)[:(k - 1) * n]
     flag = np.not_equal(np.abs(w0, out=mod.real), 0, out=flag.reshape(k - 1, n))
