@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError, _check_int, _check_real
 from .criteria import VIOLATION_TOL, _certificate
+from .moments import exact_moments
+from .states import random_mixed, random_pure
 
 G_CLAMP = -1e-12
 DOMAIN_SLACK = 1e-12
@@ -302,9 +304,6 @@ def region_scatter(d, n_states, seed):
     seeded by (seed, index), so any slice of the output is reproducible
     in isolation. Returns rows (s2, s4, kind, rank).
     """
-    from .moments import exact_moments
-    from .states import random_mixed, random_pure
-
     d = _check_int(d, "d", 2)
     n_states = _check_int(n_states, "n_states")
     seed = _check_int(seed, "seed", 0)

@@ -3,14 +3,14 @@
 Subcommands
 -----------
 boundary
-    Tabulate the lower boundary curves over an S2 grid as CSV.
+    Tabulate the lower boundary curves over an S2 grid as CSV or JSON.
 certify
     Run every exact criterion on a state and report certificates as JSON.
 simulate
     Simulate randomized measurements, estimate moments, certify with a
     statistical back-off.
 scatter
-    Exact moment-plane cloud of random states as CSV.
+    Exact moment-plane cloud of random states as CSV or JSON.
 noise-tolerance
     Bisect the certifiable white-noise range for isotropic states.
 
@@ -57,10 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
 def _require(args, name, flag):
     val = getattr(args, name)
     if val is None:
@@ -69,10 +65,9 @@ def _require(args, name, flag):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise InvalidInputError("--seed must be nonnegative")
-        return int(args.seed)
+    # a negative seed is left to the library, which rejects it
+    if args.seed is not None:
+        return args.seed
     import secrets
     return secrets.randbits(32)
 
@@ -91,9 +86,6 @@ def _resolve_state(args, need_seed):
     if path is not None:
         seed = _resolve_seed(args) if need_seed else None
         return states.read_state_json(path), {"state_file": path}, seed
-    if name not in NAMED_STATES:
-        raise InvalidInputError(
-            f"unknown state {name!r}; choose from {', '.join(NAMED_STATES)}")
     desc = {"state": name}
     seed = None
     if name == "max-entangled":
@@ -133,34 +125,27 @@ def _resolve_state(args, need_seed):
 
 
 def _emit(text, out):
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _emit_json(payload, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
-def _csv_lines(config, header, rows):
+def _emit_table(fmt, config, header, rows, out):
+    """A table as JSON or CSV; CSV keeps strings and gives numbers 17 digits."""
+    if fmt == "json":
+        _emit_json({"config": config, "columns": header, "rows": rows}, out)
+        return
     lines = [f"# config: {json.dumps(config)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines)
-
-
-def _check_format(args, allowed, default):
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise InvalidInputError(
-            f"--format {fmt!r} not supported for this command "
-            f"(allowed: {', '.join(allowed)})")
-    return fmt
+    lines += [",".join(cell if isinstance(cell, str) else f"{float(cell):.17g}"
+                       for cell in row) for row in rows]
+    _emit("\n".join(lines), out)
 
 
 def cmd_boundary(args):
@@ -182,9 +167,8 @@ def cmd_boundary(args):
     curves = [boundary_curve(d, r) for r in r_values]
     s2_max = (d + 1) / (d - 1)
     s2_grid = np.linspace(0.0, s2_max, grid)
-    fmt = _check_format(args, ("csv", "json"), "csv")
     config = {"command": "boundary",
-              "d": d, "r": r_values, "grid": grid, "format": fmt}
+              "d": d, "r": r_values, "grid": grid, "format": args.format}
     header = ["s2"] + [f"f_r{r}" for r in r_values]
     if d == 3:
         header.append("outer")
@@ -196,74 +180,51 @@ def cmd_boundary(args):
         columns.append(col)
     if d == 3:
         columns.append([outer_boundary_d3(float(s2))[0] for s2 in s2_grid])
-    rows = [[float(v) for v in row] for row in zip(*columns)]
-    if fmt == "csv":
-        _emit(_csv_lines(config, header, rows), args.out)
-    else:
-        _emit_json({"config": config,
-                    "columns": header,
-                    "rows": rows}, args.out)
+    _emit_table(args.format, config, header,
+                [[float(v) for v in row] for row in zip(*columns)], args.out)
     return 0
 
 
 def cmd_certify(args):
     state, desc, _ = _resolve_state(args, need_seed=False)
-    fmt = _check_format(args, ("json",), "json")
-    config = {"command": "certify", **desc, "format": fmt}
-    report = compare_all(state)
-    _emit_json({"config": config, "report": report.to_dict()},
-               args.out)
+    _emit_json({"config": {"command": "certify", **desc},
+                "report": compare_all(state).to_dict()}, args.out)
     return 0
 
 
 def cmd_simulate(args):
     state, desc, seed = _resolve_state(args, need_seed=True)
     n = _require(args, "n", "--n")
-    fmt = _check_format(args, ("json",), "json")
     config = {"command": "simulate",
-              **desc, "n": n, "seed": seed, "k": args.k, "path": args.path,
-              "format": fmt}
+              **desc, "n": n, "seed": seed, "k": args.k, "path": args.path}
     result = detect_with_confidence(
         state, n, args.k, seed, path=args.path,
         keep_samples=args.samples_out is not None)
     if args.samples_out is not None:
-        lines = [f"# config: {json.dumps(config)}", "x"]
-        lines += [_fmt(v) for v in result.estimate.samples]
-        _emit("\n".join(lines), args.samples_out)
-    payload = {"config": config, "result": result.to_dict()}
-    _emit_json(payload, args.out)
+        _emit_table("csv", config, ["x"], result.estimate.samples[:, None],
+                    args.samples_out)
+    _emit_json({"config": config, "result": result.to_dict()}, args.out)
     return 0
 
 
 def cmd_scatter(args):
     d, n = args.d, args.n
     seed = _resolve_seed(args)
-    fmt = _check_format(args, ("csv", "json"), "csv")
     config = {"command": "scatter",
-              "d": d, "n": n, "seed": seed, "format": fmt}
-    rows = region_scatter(d, n, seed)
-    header = ["s2", "s4", "kind", "rank"]
-    if fmt == "csv":
-        table = [[s2, s4, kind, str(rank)] for s2, s4, kind, rank in rows]
-        _emit(_csv_lines(config, header, table), args.out)
-    else:
-        _emit_json({"config": config,
-                    "columns": header,
-                    "rows": [[s2, s4, kind, rank]
-                             for s2, s4, kind, rank in rows]}, args.out)
+              "d": d, "n": n, "seed": seed, "format": args.format}
+    _emit_table(args.format, config, ["s2", "s4", "kind", "rank"],
+                region_scatter(d, n, seed), args.out)
     return 0
 
 
 def cmd_noise_tolerance(args):
     d, r, n = args.d, args.r, args.n
     seed = _resolve_seed(args)
-    fmt = _check_format(args, ("json",), "json")
     config = {"command": "noise-tolerance",
               "d": d, "r": r, "n": n, "seed": seed, "k": args.k,
-              "path": args.path, "format": fmt}
+              "path": args.path}
     result = noise_tolerance(d, r, n, args.k, seed, path=args.path)
-    _emit_json({"config": config, "result": result.to_dict()},
-               args.out)
+    _emit_json({"config": config, "result": result.to_dict()}, args.out)
     return 0
 
 
@@ -340,8 +301,9 @@ def build_parser():
     for sub in (p_boundary, p_certify, p_sim, p_scatter, p_noise):
         sub.add_argument("--out", default=None,
                          help="output file (default: stdout)")
-        sub.add_argument("--format", default=None,
-                         choices=("csv", "json"))
+    for sub in (p_boundary, p_scatter):
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="table format (default csv)")
     return parser
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalConsistencyError
+from .errors import InvalidInputError, NumericalConsistencyError, _check_array
 from .states import DERIVED_TOL, _purity, as_density, extended_basis
 
 IMAG_TOL = 1e-9
@@ -127,12 +127,8 @@ def as_correlation_data(obj):
 
 def trace_norm(matrix):
     """Sum of the singular values of a finite 2-D numeric array."""
-    try:
-        mat = np.asarray(matrix)
-        ok = mat.ndim == 2 and mat.dtype.kind in "biufc" and np.isfinite(mat).all()
-    except ValueError:  # ragged nesting
-        ok = False
-    if not ok:
+    mat = _check_array(matrix, "trace_norm input")
+    if mat.ndim != 2 or not np.isfinite(mat).all():
         raise InvalidInputError(f"trace_norm needs a finite 2-D array, got {matrix!r:.60}")
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 

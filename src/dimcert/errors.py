@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and real checks.
+"""Exception types shared across the package, and the integer, real and array checks.
 
 Two categories matter to callers (and to the CLI exit codes): bad input
 versus a numerical result that violates an internal consistency guarantee.
@@ -56,3 +56,18 @@ def _check_real(value, name):
             return real
     raise InvalidInputError(
         f"{name} must be a finite real number, got {value!r}")
+
+
+def _check_array(value, name):
+    """``value`` as a numeric ndarray (no copy where it is one), else InvalidInputError.
+
+    Strings, even numeric ones, objects and ragged nesting are not numeric
+    arrays here; shape and finiteness are left to the caller.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc":
+        raise InvalidInputError(f"{name} must be a numeric array, got {value!r:.60}")
+    return arr

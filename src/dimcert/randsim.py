@@ -23,7 +23,8 @@ block]), so results are bit-identical for any worker count and block
 order. A block's power-of-two chunks draw from its generator in turn into
 views of one 4.53 MiB scratch buffer that each sampling thread keeps:
 4096, 2048 and 1024 draws at d = 3, 5, 7 (Haar), whole blocks up to d = 7
-(Bloch). DIMCERT_THREADS caps the default thread pool.
+(Bloch). The environment variable DIMCERT_THREADS sets the number of
+sampling threads (default 1); it changes speed only, never results.
 """
 
 from __future__ import annotations
@@ -79,12 +80,8 @@ def __getattr__(name):  # PEP 562: pool class on first use; a tracer may rebind 
     return globals().setdefault(name, ThreadPoolExecutor)
 
 
-def _resolve_workers(workers):
-    if workers is not None:
-        return _check_int(workers, "workers")
-    env = os.environ.get("DIMCERT_THREADS")
-    if not env:
-        return 1
+def _resolve_workers():
+    env = os.environ.get("DIMCERT_THREADS") or "1"
     try:
         workers = int(env)
     except ValueError:
@@ -208,7 +205,7 @@ def _local_vectors(d, m_eigs, z, work=None):
     return vecs
 
 
-def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
+def _sample_x(rho, n_tot, seed, m_eigs, namespace):
     d = rho.dim_a
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
@@ -229,7 +226,7 @@ def _sample_x(rho, n_tot, seed, m_eigs, workers, namespace):
             xb = np.matmul(x_su, b, out=buf[len(buf) - a.size:].reshape(a.shape))
             np.einsum("gm,gm->m", a, xb, out=out[lo:lo + chunk])
 
-    workers = min(_resolve_workers(workers), n_blocks)
+    workers = min(_resolve_workers(), n_blocks)
     if workers == 1:
         for b in range(n_blocks):
             run_block(b)
@@ -268,8 +265,7 @@ class EstimatorResult:
         }
 
 
-def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
-                     workers=None):
+def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False):
     """Unbiased (S2, S4) estimates from n_tot simulated random settings.
 
     Fewer than 100 samples are rejected: below that the error estimates
@@ -279,7 +275,7 @@ def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False,
     seed = _check_int(seed, "seed", 0, _MAX_SEED)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
     m_eigs, c2, c4 = _sampling_path(rho.dim_a, path)
-    x = _sample_x(rho, n_tot, seed, m_eigs, workers, _NS_MAIN)
+    x = _sample_x(rho, n_tot, seed, m_eigs, _NS_MAIN)
     # np.cov's steps on rows x^2, x^4 of one array, centred in place
     xx = np.empty((2, n_tot))
     np.multiply(np.multiply(x, x, out=xx[0]), xx[0], out=xx[1])
@@ -313,8 +309,7 @@ class PredictedVariance:
     m8_samples: int
 
 
-def predicted_variance(rho, n_tot, seed=0, path="haar",
-                       m8_samples=2_000_000, workers=None):
+def predicted_variance(rho, n_tot, seed=0, path="haar", m8_samples=2_000_000):
     """Predicted var(s2_hat), var(s4_hat) for a state at sample budget n_tot."""
     n_tot = _check_int(n_tot, "n_tot")
     m8_samples = _check_int(m8_samples, "m8_samples", 10_000)
@@ -324,7 +319,7 @@ def predicted_variance(rho, n_tot, seed=0, path="haar",
     pair = exact_moments(rho)
     m2 = pair.s2 / c2
     m4 = pair.s4 / c4
-    x = _sample_x(rho, m8_samples, seed, m_eigs, workers, _NS_EIGHTH)
+    x = _sample_x(rho, m8_samples, seed, m_eigs, _NS_EIGHTH)
     x8 = x ** 8
     m8 = float(np.mean(x8))
     m8_err = float(np.std(x8, ddof=1)) / math.sqrt(len(x8))
@@ -352,7 +347,7 @@ class DetectionResult:
 
 
 def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
-                           workers=None, keep_samples=False):
+                           keep_samples=False):
     """Estimate moments, then certify with a k-sigma statistical back-off.
 
     Each boundary comparison must clear its threshold by k_sigma standard
@@ -369,8 +364,7 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
         raise InvalidInputError(
             f"k_sigma must be a nonnegative number, got {k_sigma!r}")
     rho = as_density(rho, equal_dims_for=_SAMPLING)
-    est = estimate_moments(rho, n_tot, seed, path=path,
-                           keep_samples=keep_samples, workers=workers)
+    est = estimate_moments(rho, n_tot, seed, path=path, keep_samples=keep_samples)
     cert = classify_point(
         est.s2, est.s4, rho.dim_a,
         std_s2=est.std_s2, std_s4=est.std_s4, cov_s2s4=est.cov_s2s4,
@@ -418,8 +412,7 @@ class NoiseToleranceResult:
         }
 
 
-def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar",
-                    workers=None):
+def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar"):
     """Largest white-noise weight still certified at target_bound, by bisection.
 
     Each probe runs a fresh detection on isotropic(d, p) with a
@@ -438,8 +431,7 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar",
             entropy = [seed, step, draw] if draw else [seed, step]
             sub = int(np.random.SeedSequence(entropy).generate_state(1)[0])
             cert = detect_with_confidence(
-                isotropic(int(d), p), n_tot, k_sigma, sub, path=path,
-                workers=workers).certificate
+                isotropic(int(d), p), n_tot, k_sigma, sub, path=path).certificate
             evaluations.append((p, cert.certified_lower_bound))
             if not cert.details.get("outside_state_space"):
                 break

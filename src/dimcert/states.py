@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_int, _check_real
+from .errors import InvalidInputError, _check_array, _check_int, _check_real
 
 STRUCT_TOL = 1e-10
 DERIVED_TOL = 1e-9
@@ -143,7 +143,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
         self.dim_b = _check_int(self.dim_b, "dim_b", 2)
-        mat = np.array(self.matrix, dtype=np.complex128)
+        mat = np.array(_check_array(self.matrix, "matrix"), dtype=np.complex128)
         n = self.dim_a * self.dim_b
         if mat.shape != (n, n):
             raise InvalidInputError(
@@ -186,7 +186,8 @@ class PureState:
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
         self.dim_b = _check_int(self.dim_b, "dim_b", 2)
-        vec = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
+        vec = np.array(_check_array(self.amplitudes, "amplitudes"),
+                       dtype=np.complex128).reshape(-1)
         n = self.dim_a * self.dim_b
         if vec.shape != (n,):
             raise InvalidInputError(
@@ -487,11 +488,13 @@ def read_state_json(path):
     for key in ("dim_a", "dim_b", "re", "im"):
         if key not in data:
             raise InvalidInputError(f"state file {path} is missing the {key!r} field")
-    try:
-        mat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"state file {path} re/im entries are not numeric") from exc
-    return DensityMatrix(data["dim_a"], data["dim_b"], mat)
+    re, im = (_check_array(data[key], f"state file {path} {key!r}")
+              for key in ("re", "im"))
+    if re.ndim != 2 or re.shape != im.shape:
+        raise InvalidInputError(
+            f"state file {path} 're' has shape {re.shape} and 'im' {im.shape}; "
+            "they must have the same 2-D shape")
+    return DensityMatrix(data["dim_a"], data["dim_b"], re + 1j * im)
 
 
 def write_state_json(rho, path):

@@ -1,6 +1,7 @@
 """Every public name list of the package resolves to a real attribute, the
-package namespace holds exactly the pinned names, and the scalar entry
-points reject values that are not real numbers, integers or seeds."""
+package namespace holds exactly the pinned names, the scalar entry points
+reject values that are not real numbers, integers or seeds, and the array
+entry points reject arrays that are not numeric."""
 
 import importlib
 import pkgutil
@@ -113,6 +114,38 @@ CASES = [
 @pytest.mark.parametrize("call,bad", CASES)
 def test_non_numeric_scalars_rejected(call, bad):
     with pytest.raises(InvalidInputError):
+        call(bad)
+
+
+# each entry takes the bad value as its array argument, next to a valid
+# array that the bad values are made from
+ARRAY_ENTRY_POINTS = {
+    "DensityMatrix": (lambda v: dimcert.DensityMatrix(2, 2, v), [[0.25] * 4] * 4),
+    "PureState": (lambda v: dimcert.PureState(2, 2, v), [1, 0, 0, 0]),
+    "trace_norm": (dimcert.trace_norm, [[1, 0], [0, 1]]),
+}
+
+
+def _not_numeric(valid):
+    """The accepted array as numeric strings, with one non-numeric string,
+    and nested raggedly."""
+    words = np.asarray(valid).astype(str)
+    word = words.copy()
+    word.flat[0] = "x"
+    return {"numeric-str": words.tolist(), "str": word.tolist(),
+            "ragged": [valid, [0]]}
+
+
+ARRAY_CASES = [
+    pytest.param(call, bad, id=f"{entry}-{bad_id}")
+    for entry, (call, valid) in ARRAY_ENTRY_POINTS.items()
+    for bad_id, bad in _not_numeric(valid).items()
+]
+
+
+@pytest.mark.parametrize("call,bad", ARRAY_CASES)
+def test_non_numeric_arrays_rejected(call, bad):
+    with pytest.raises(InvalidInputError, match="numeric array"):
         call(bad)
 
 

@@ -219,6 +219,35 @@ def test_csv_format_rejected_for_certify(capsys):
     assert "format" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--state", "rho-w"],
+    ["simulate", "--state", "isotropic", "--d", "3", "--p", "0.2",
+     "--n", "1000", "--seed", "1"],
+    ["noise-tolerance", "--d", "3", "--r", "2", "--n", "200", "--seed", "1"],
+], ids=["certify", "simulate", "noise-tolerance"])
+def test_format_rejected_where_output_is_json_only(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--d", "3", "--grid", "4"],
+    ["scatter", "--d", "3", "--n", "5", "--seed", "2"],
+], ids=["boundary", "scatter"])
+def test_format_picks_the_table_of_boundary_and_scatter(capsys, argv):
+    default, csv, js, bad = (run(capsys, *argv, *fmt) for fmt in (
+        [], ["--format", "csv"], ["--format", "json"], ["--format", "xml"]))
+    assert default == csv and csv[0] == js[0] == 0
+    lines = csv[1].strip().split("\n")
+    payload = json.loads(js[1])
+    assert payload["config"]["format"] == "json"
+    assert payload["columns"] == lines[1].split(",")
+    assert len(payload["rows"]) == len(lines) - 2
+    assert bad[0] == 1 and "--format" in bad[2]
+
+
 def test_corrupt_state_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

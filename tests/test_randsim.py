@@ -301,18 +301,19 @@ def test_whole_block_chunk_draws_the_block_at_once(d, path):
 
 @pytest.mark.parametrize("path", ["haar", "bloch"])
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_sampling_loop_allocates_nothing(d, path):
+def test_sampling_loop_allocates_nothing(monkeypatch, d, path):
     # after one warm-up call (correlation data, this thread's scratch buffer)
     # only the output array is allocated: a block's normals drawn at once
     # take 0.8 MB at d = 3 and 3.7 MB at d = 7 on the Haar path, and one
     # buffered numpy broadcast over a short inner run 64 or 128 KiB
+    monkeypatch.setenv("DIMCERT_THREADS", "1")
     rho = random_mixed(d, d, 4, seed=d)
     m_eigs = _sampling_path(d, path)[0]
     n = 3 * BLOCK + 700
-    _sample_x(rho, n, 1, m_eigs, 1, _NS_MAIN)
+    _sample_x(rho, n, 1, m_eigs, _NS_MAIN)
     tracemalloc.start()
     try:
-        _sample_x(rho, n, 2, m_eigs, 1, _NS_MAIN)
+        _sample_x(rho, n, 2, m_eigs, _NS_MAIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,16 +344,17 @@ def test_estimate_deterministic_rerun():
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_estimate_worker_count_invariance():
-    a = estimate_moments(me3(), 9000, seed=9, keep_samples=True)
-    b = estimate_moments(me3(), 9000, seed=9, workers=4, keep_samples=True)
+def test_estimate_worker_count_invariance(monkeypatch):
+    def run(rho, n, threads):
+        monkeypatch.setenv("DIMCERT_THREADS", threads)
+        return estimate_moments(rho, n, seed=9, keep_samples=True)
+
+    a, b = run(me3(), 9000, "1"), run(me3(), 9000, "4")
     assert np.array_equal(a.samples, b.samples)
     assert a.s2 == b.s2 and a.s4 == b.s4
     # d=7 runs in several chunks per block
     rho = random_mixed(7, 7, 4, seed=2)
-    a = estimate_moments(rho, 3 * BLOCK + 700, seed=9, keep_samples=True)
-    b = estimate_moments(rho, 3 * BLOCK + 700, seed=9, workers=2,
-                         keep_samples=True)
+    a, b = run(rho, 3 * BLOCK + 700, "1"), run(rho, 3 * BLOCK + 700, "2")
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -367,7 +369,8 @@ def test_pool_class_is_read_from_the_module(monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(randsim, "ThreadPoolExecutor", Pool)
-    estimate_moments(me3(), 3 * BLOCK, seed=9, workers=2)
+    monkeypatch.setenv("DIMCERT_THREADS", "2")
+    estimate_moments(me3(), 3 * BLOCK, seed=9)
     assert built == [2]
     with pytest.raises(AttributeError, match="no attribute 'SFC64'"):
         randsim.SFC64
@@ -477,10 +480,8 @@ def test_predicted_variance_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_tot": True}, {"seed": True}, {"workers": True}, {"workers": 0},
-    {"n_tot": 1000.0},
-], ids=["n_tot-bool", "seed-bool", "workers-bool", "workers-0",
-        "n_tot-float"])
+    {"n_tot": True}, {"seed": True}, {"n_tot": 1000.0},
+], ids=["n_tot-bool", "seed-bool", "n_tot-float"])
 def test_integer_arguments_reject_bool_and_float(kwargs):
     args = {"n_tot": 1000, "seed": 1} | kwargs
     with pytest.raises(InvalidInputError, match="integer"):

@@ -1,6 +1,7 @@
 """State constructors, validation, and the generator basis."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,19 @@ def test_state_json_invalid_matrix(tmp_path):
     im = np.zeros((4, 4)).tolist()
     path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "re": re, "im": im}))
     with pytest.raises(InvalidInputError, match="trace"):
+        read_state_json(str(path))
+
+
+@pytest.mark.parametrize("real, imag, shapes", [
+    (0.25, [[0] * 4] * 4, "'re' has shape () and 'im' (4, 4)"),
+    ([[0.25] * 4] * 4, 0, "'re' has shape (4, 4) and 'im' ()"),
+    ([[0.25] * 4] * 4, [[0] * 4], "'re' has shape (4, 4) and 'im' (1, 4)"),
+], ids=["scalar-re", "scalar-im", "row-im"])
+def test_state_json_re_and_im_must_share_a_shape(tmp_path, real, imag, shapes):
+    # broadcast together, each pair reads as the all-0.25 matrix, a valid state
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "re": real, "im": imag}))
+    with pytest.raises(InvalidInputError, match=re.escape(shapes)):
         read_state_json(str(path))
 
 
