@@ -294,6 +294,20 @@ def test_state_json_re_and_im_must_share_a_shape(tmp_path, real, imag, shapes):
         read_state_json(str(path))
 
 
+@pytest.mark.parametrize("entry", ["0.25", 10 ** 400],
+                         ids=["numeric-str", "int-beyond-float"])
+def test_state_json_entries_must_be_numbers(tmp_path, entry):
+    # "0.25" once read as 0.25, and 10**400 stopped the reader with an
+    # OverflowError instead of an invalid-input error
+    real = [[0.25] * 4 for _ in range(4)]
+    real[0][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "re": real,
+                                "im": [[0] * 4] * 4}))
+    with pytest.raises(InvalidInputError, match="'re' must be a numeric array"):
+        read_state_json(str(path))
+
+
 def test_state_json_not_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
