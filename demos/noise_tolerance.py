@@ -19,8 +19,8 @@ for target in (3, 2):
     print(f"  simulated threshold p  = {res.simulated_threshold:.6f} "
           f"(N = {res.n_tot}, k = {res.k_sigma})")
     print(f"  bisection evaluations: {len(res.evaluations)}")
-    for p, bound in res.evaluations[:6]:
-        print(f"    p = {p:.4f} -> certified {bound}")
+    for ev in res.evaluations[:6]:
+        print(f"    p = {ev['p']:.4f} -> certified {ev['bound']}")
     if len(res.evaluations) > 6:
         print(f"    ... {len(res.evaluations) - 6} more")
     print()

@@ -280,7 +280,7 @@ def outer_boundary_d3(x, family=None):
     """
     x = _check_real(x, "x")
     if family is not None:
-        if family not in _D3_FAMILIES:
+        if not isinstance(family, str) or family not in _D3_FAMILIES:
             raise InvalidInputError(
                 f"unknown family {family!r}; use one of A, B, C, D")
         lo, hi, fn = _D3_FAMILIES[family]

@@ -24,6 +24,7 @@ linear-algebra routine that did not converge); nothing else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -133,8 +134,21 @@ def _emit(text, out):
             fh.write(text)
 
 
+def _plain(obj):
+    """JSON-ready data from results: a dataclass becomes its fields in order,
+    less those declared repr=False; numpy scalars become Python ones."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.repr}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj.item() if isinstance(obj, np.generic) else obj
+
+
 def _emit_json(payload, out):
-    _emit(json.dumps(payload, indent=2), out)
+    _emit(json.dumps(_plain(payload), indent=2), out)
 
 
 def _emit_table(fmt, config, header, rows, out):
@@ -188,7 +202,7 @@ def cmd_boundary(args):
 def cmd_certify(args):
     state, desc, _ = _resolve_state(args, need_seed=False)
     _emit_json({"config": {"command": "certify", **desc},
-                "report": compare_all(state).to_dict()}, args.out)
+                "report": compare_all(state)}, args.out)
     return 0
 
 
@@ -203,7 +217,7 @@ def cmd_simulate(args):
     if args.samples_out is not None:
         _emit_table("csv", config, ["x"], result.estimate.samples[:, None],
                     args.samples_out)
-    _emit_json({"config": config, "result": result.to_dict()}, args.out)
+    _emit_json({"config": config, "result": result}, args.out)
     return 0
 
 
@@ -224,7 +238,7 @@ def cmd_noise_tolerance(args):
               "d": d, "r": r, "n": n, "seed": seed, "k": args.k,
               "path": args.path}
     result = noise_tolerance(d, r, n, args.k, seed, path=args.path)
-    _emit_json({"config": config, "result": result.to_dict()}, args.out)
+    _emit_json({"config": config, "result": result}, args.out)
     return 0
 
 

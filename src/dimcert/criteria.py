@@ -101,14 +101,6 @@ class SchmidtCertificate:
             raise InvalidInputError(
                 "a bound above 1 requires a strictly positive margin")
 
-    def to_dict(self):
-        return {
-            "criterion_id": self.criterion_id,
-            "certified_lower_bound": int(self.certified_lower_bound),
-            "margin": float(self.margin),
-            "details": _jsonable(self.details),
-        }
-
 
 @dataclass
 class CertificateReport:
@@ -116,30 +108,8 @@ class CertificateReport:
 
     dim_a: int
     dim_b: int
-    certificates: list
     best_bound: int
-
-    def to_dict(self):
-        return {
-            "dim_a": self.dim_a,
-            "dim_b": self.dim_b,
-            "best_bound": int(self.best_bound),
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+    certificates: list
 
 
 def _verdict(violated, margin):
@@ -345,4 +315,4 @@ def compare_all(rho):
     certs += [_fidelity(rho, vecs, labels, targets_tested=labels),
               sn_reduction_map(rho), sn_covariance(corr)]
     best = max(c.certified_lower_bound for c in certs)
-    return CertificateReport(rho.dim_a, rho.dim_b, certs, best)
+    return CertificateReport(rho.dim_a, rho.dim_b, best, certs)

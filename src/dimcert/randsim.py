@@ -255,15 +255,6 @@ class EstimatorResult:
     cov_s2s4: float
     samples: np.ndarray | None = field(default=None, repr=False)
 
-    def to_dict(self):
-        return {
-            "s2": self.s2, "s4": self.s4,
-            "n_samples": self.n_samples, "path": self.path,
-            "seed": self.seed,
-            "std_s2": self.std_s2, "std_s4": self.std_s4,
-            "cov_s2s4": self.cov_s2s4,
-        }
-
 
 def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False):
     """Unbiased (S2, S4) estimates from n_tot simulated random settings.
@@ -338,13 +329,6 @@ class DetectionResult:
     estimate: EstimatorResult
     k_sigma: float
 
-    def to_dict(self):
-        return {
-            "certificate": self.certificate.to_dict(),
-            "estimate": self.estimate.to_dict(),
-            "k_sigma": self.k_sigma,
-        }
-
 
 def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
                            keep_samples=False):
@@ -356,8 +340,9 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     false-bound rates are 0 of 2000 runs for isotropic(5, 0.9), 1.5% of
     3000 for isotropic(3, 3/8) and 0.23% of 3000 for isotropic(5, 5/8),
     against a nominal one-sided tail of 2.28%. Off that line the back-off is
-    not yet sound: |00> gets 15.5% false bounds at d=5, k_sigma=2, n_tot=1e3
-    and 2.7% at d=7, k_sigma=3, n_tot=1e4, against nominal 2.28% and 0.135%.
+    not yet sound: |00> gets false bounds in 315 of 2000 runs (15.75%) at
+    d=5, k_sigma=2, n_tot=1e3 and in 37 of 1000 (3.7%) at d=7, k_sigma=3,
+    n_tot=1e4, against nominal 2.28% and 0.135%.
     """
     k_sigma = _check_real(k_sigma, "k_sigma")
     if k_sigma < 0:
@@ -398,19 +383,6 @@ class NoiseToleranceResult:
     analytic_threshold: float
     evaluations: list
 
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "target_bound": self.target_bound,
-            "n_tot": self.n_tot,
-            "k_sigma": self.k_sigma,
-            "path": self.path,
-            "simulated_threshold": self.simulated_threshold,
-            "analytic_threshold": self.analytic_threshold,
-            "evaluations": [
-                {"p": p, "bound": b} for p, b in self.evaluations],
-        }
-
 
 def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar"):
     """Largest white-noise weight still certified at target_bound, by bisection.
@@ -419,8 +391,9 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar"):
     derived sub-seed; the bracket [certified, uncertified] narrows to
     1e-3. An estimate outside the state space (a void certificate) says
     nothing about p, so that probe is drawn again with a further sub-seed,
-    up to _MAX_DRAWS times; every draw is kept in ``evaluations``, a void
-    one with bound 1. The analytic threshold rides along for comparison.
+    up to _MAX_DRAWS times; every draw is kept in ``evaluations`` as
+    ``{"p": p, "bound": b}``, a void one with bound 1. The analytic
+    threshold rides along for comparison.
     """
     seed = _check_int(seed, "seed", 0, _MAX_SEED)
     analytic = analytic_noise_threshold(d, target_bound)
@@ -432,7 +405,7 @@ def noise_tolerance(d, target_bound, n_tot, k_sigma, seed, path="haar"):
             sub = int(np.random.SeedSequence(entropy).generate_state(1)[0])
             cert = detect_with_confidence(
                 isotropic(int(d), p), n_tot, k_sigma, sub, path=path).certificate
-            evaluations.append((p, cert.certified_lower_bound))
+            evaluations.append({"p": p, "bound": cert.certified_lower_bound})
             if not cert.details.get("outside_state_space"):
                 break
         return cert.certified_lower_bound >= target_bound

@@ -74,16 +74,19 @@ def as_rng(seed):
 # operator basis
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def extended_basis(d):
     """Full orthonormal operator basis of one qudit, shape (d*d, d, d).
 
     Index 0 is the normalized identity; indices 1..d^2-1 are the
     generalized Gell-Mann generators of su(d), ordered symmetric,
     antisymmetric, diagonal and normalized so that ``tr(g_i g_j) =
-    delta_ij``. Read-only.
+    delta_ij``. Read-only, and built once per d.
     """
-    d = _check_int(d, "dimension", 2)
+    return _extended_basis(_check_int(d, "dimension", 2))
+
+
+@lru_cache(maxsize=None)
+def _extended_basis(d):
     full = np.zeros((d * d, d, d), dtype=np.complex128)
     full[0] = np.eye(d) / np.sqrt(d)
     idx = 1

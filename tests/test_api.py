@@ -12,6 +12,7 @@ import pytest
 import dimcert
 from dimcert.errors import InvalidInputError
 from dimcert.moments import MomentPair
+from dimcert.states import extended_basis
 
 MODULES = ["dimcert"] + [
     f"dimcert.{info.name}" for info in pkgutil.iter_modules(dimcert.__path__)]
@@ -164,3 +165,13 @@ def test_valid_seeds_accepted(entry):
     assert np.array_equal(data(call([7, 1])),
                           data(call(np.random.default_rng([7, 1]))))
     call(None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dimcert.outer_boundary_d3(1.0, family=["A"]),
+    lambda: extended_basis([3]),
+], ids=["outer_boundary_d3.family", "extended_basis"])
+def test_unhashable_arguments_rejected(call):
+    # a lookup or a cache must not hash the argument before it is checked
+    with pytest.raises(InvalidInputError):
+        call()

@@ -189,6 +189,93 @@ def test_noise_tolerance_small_run(capsys):
     assert len(res["evaluations"]) >= 3
 
 
+# --- JSON shape -----------------------------------------------------------
+
+_CERTIFICATE = ("criterion_id", "certified_lower_bound", "margin", "details")
+_SIMULATE_KEYS = {
+    "": {("config", "result")},
+    "/config": {("command", "state", "d", "p", "n", "seed", "k", "path")},
+    "/result": {("certificate", "estimate", "k_sigma")},
+    "/result/certificate": {_CERTIFICATE},
+    "/result/certificate/details": {("per_r", "mode", "k_sigma")},
+    "/result/certificate/details/per_r/*": {
+        ("r", "endpoint", "curve_value", "cap_margin", "curve_margin",
+         "sigma_curve", "violated")},
+    # the raw samples go to --samples-out only
+    "/result/estimate": {("s2", "s4", "n_samples", "path", "seed", "std_s2",
+                          "std_s4", "cov_s2s4")},
+}
+_SIMULATE = ["simulate", "--state", "isotropic", "--d", "3", "--p", "0.2",
+             "--n", "1000", "--seed", "1"]
+_JSON_SHAPES = {
+    "certify": (["certify", "--state", "rho-w"], {
+        "": {("config", "report")},
+        "/config": {("command", "state")},
+        "/report": {("dim_a", "dim_b", "best_bound", "certificates")},
+        "/report/certificates/*": {_CERTIFICATE},
+        "/report/certificates/*/details": {
+            ("per_r", "su_trace_norm"), ("per_r", "xi_sum"),
+            ("per_r", "su_two_norm_sq"),
+            ("per_r", "fidelity", "target_schmidt_coefficients", "target",
+             "targets_tested"),
+            ("per_r",), ("per_r", "cross_trace_norm", "purity_a", "purity_b")},
+        "/report/certificates/*/details/per_r/*": {
+            ("r", "lhs", "rhs", "violated"), ("r", "violated"),
+            ("r", "min_eigenvalue", "violated")},
+    }),
+    "simulate-haar": (_SIMULATE + ["--path", "haar"], _SIMULATE_KEYS),
+    "simulate-bloch": (_SIMULATE + ["--path", "bloch"], _SIMULATE_KEYS),
+    "noise-tolerance": (["noise-tolerance", "--d", "3", "--r", "3", "--n",
+                         "1000", "--seed", "2", "--k", "1"], {
+        "": {("config", "result")},
+        "/config": {("command", "d", "r", "n", "seed", "k", "path")},
+        "/result": {("dim", "target_bound", "n_tot", "k_sigma", "path",
+                     "simulated_threshold", "analytic_threshold",
+                     "evaluations")},
+        "/result/evaluations/*": {("p", "bound")},
+    }),
+}
+# the JSON type of a value by its key: counts are ints, names strings,
+# verdicts bools and every other value a float
+_INT_KEYS = {"d", "n", "r", "seed", "dim", "dim_a", "dim_b", "best_bound",
+             "certified_lower_bound", "n_samples", "target_bound", "n_tot",
+             "bound"}
+_STR_KEYS = {"command", "state", "path", "criterion_id", "target",
+             "targets_tested", "mode"}
+
+
+def _key_lists(value, path, keys, leaves):
+    """Collect the key lists of the objects in a JSON document by path, an
+    item of a list under its list's path plus "/*", and every other value
+    with its path."""
+    if isinstance(value, dict):
+        keys.setdefault(path, set()).add(tuple(value))
+        for key, item in value.items():
+            _key_lists(item, f"{path}/{key}", keys, leaves)
+    elif isinstance(value, list):
+        for item in value:
+            _key_lists(item, f"{path}/*", keys, leaves)
+    else:
+        leaves.append((path, value))
+
+
+@pytest.mark.parametrize("name", _JSON_SHAPES)
+def test_json_key_lists_and_value_types(tmp_path, capsys, name):
+    argv, expected = _JSON_SHAPES[name]
+    if argv[0] == "simulate":
+        argv = argv + ["--samples-out", str(tmp_path / "x.csv")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    keys, leaves = {}, []
+    _key_lists(json.loads(out), "", keys, leaves)
+    assert keys == expected
+    for path, value in leaves:
+        key = path.replace("/*", "").rsplit("/", 1)[-1]
+        kind = (bool if key == "violated" else int if key in _INT_KEYS
+                else str if key in _STR_KEYS else float)
+        assert type(value) is kind, (path, value)
+
+
 # --- failure modes --------------------------------------------------------
 
 def test_unknown_state_exits_one(capsys):

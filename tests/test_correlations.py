@@ -230,11 +230,11 @@ def test_pure_state_converted_and_correlated_once(monkeypatch):
                         lambda rho: builds.append(rho) or build(rho))
     psi = random_pure(4, 4, 1)
     criteria = (sn_trace_norm, sn_ccnr, sn_two_norm, sn_covariance)
-    certs = [f(psi).to_dict() for f in criteria]
+    certs = [f(psi) for f in criteria]
     assert len(builds) == 1
     rho = as_density(psi)
     assert rho is builds[0] and rho is psi.to_density()
     assert not rho.matrix.flags.writeable
     fresh = DensityMatrix(4, 4, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    assert certs == [f(fresh).to_dict() for f in criteria]
+    assert certs == [f(fresh) for f in criteria]
     assert len(builds) == 2

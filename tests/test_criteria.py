@@ -447,7 +447,7 @@ def test_certificates_capped_by_min_dimension():
 def test_separable_mixtures_certify_nothing():
     for d, seed in ((2, 0), (3, 1), (3, 2), (4, 3)):
         rep = compare_all(_separable_mixture(d, seed))
-        assert rep.best_bound == 1, rep.to_dict()
+        assert rep.best_bound == 1, rep
 
 
 def test_ccnr_at_least_max_entangled_fidelity_bound():
@@ -510,7 +510,7 @@ def test_compare_all_equals_standalone_criteria():
             parts.append(sn_two_norm(rho))
         assert len(report.certificates) == len(parts) + 1
         for part in parts:
-            assert by_id[part.criterion_id].to_dict() == part.to_dict()
+            assert by_id[part.criterion_id] == part
         # the fidelity entry is the best target's certificate, in full
         vecs, labels = _fidelity_targets(rho)
         fid = by_id["fidelity"]
@@ -522,7 +522,7 @@ def test_compare_all_equals_standalone_criteria():
                     <= (fid.certified_lower_bound, fid.margin))
             if label == fid.details["target"]:
                 part.details["targets_tested"] = labels
-                assert part.to_dict() == fid.to_dict()
+                assert part == fid
 
 
 @pytest.mark.parametrize("fn", [
@@ -537,9 +537,9 @@ def test_criteria_take_a_state_or_its_correlation_data(fn):
             fn(correlation_data(psi))
     else:
         inputs.append(correlation_data(psi))
-    certs = [fn(x).to_dict() for x in inputs]
-    assert [row["r"] for row in certs[0]["details"]["per_r"]] == [1, 2, 3]
-    assert certs[0]["certified_lower_bound"] == 2
+    certs = [fn(x) for x in inputs]
+    assert [row["r"] for row in certs[0].details["per_r"]] == [1, 2, 3]
+    assert certs[0].certified_lower_bound == 2
     assert all(cert == certs[0] for cert in certs)
 
 
@@ -572,14 +572,3 @@ def test_compare_all_builds_correlation_data_once(monkeypatch):
         calls.clear()
         compare_all(rho)
         assert len(calls) == 1
-
-
-def test_report_serializes_to_plain_json_types():
-    import json
-    rep = compare_all(isotropic(3, 0.2))
-    text = json.dumps(rep.to_dict())
-    back = json.loads(text)
-    assert back["best_bound"] == rep.best_bound
-    row = back["certificates"][0]["details"]["per_r"][0]
-    assert isinstance(row["violated"], bool)
-    assert isinstance(row["lhs"], float)

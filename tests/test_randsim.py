@@ -515,13 +515,6 @@ def test_noise_tolerance_rejects_non_numeric_k_sigma():
         noise_tolerance(3, 3, n_tot=1000, k_sigma="x", seed=1)
 
 
-def test_detection_result_serializes():
-    det = detect_with_confidence(me3(), 1000, k_sigma=3.0, seed=4)
-    d = det.to_dict()
-    assert d["estimate"]["n_samples"] == 1000
-    assert d["certificate"]["criterion_id"] == "moments"
-
-
 @pytest.mark.parametrize("d,p,schmidt_number,runs,max_rate", [
     (5, 0.9, 1, 2000, 0.0328),
     (3, 3 / 8, 2, 3000, 0.0309),
@@ -574,7 +567,7 @@ def test_noise_tolerance_bisection():
     # by more than the bisection resolution plus noise allowance
     assert res.simulated_threshold < 0.55
     assert len(res.evaluations) >= 3
-    ps = [p for p, _ in res.evaluations]
+    ps = [e["p"] for e in res.evaluations]
     assert ps[0] == 0.0 and ps[1] == 1.0
 
 
@@ -590,12 +583,13 @@ def test_noise_tolerance_redraws_void_probes():
 
     seed = next(s for s in range(100) if first_draw_void(s))
     res = noise_tolerance(3, 3, n_tot=1000, k_sigma=1.0, seed=seed)
-    voids = next(i for i, e in enumerate(res.evaluations) if e != (0.0, 1))
+    voids = next(i for i, e in enumerate(res.evaluations)
+                 if e != {"p": 0.0, "bound": 1})
     assert voids >= 1
-    assert res.evaluations[voids] == (0.0, 3)
+    assert res.evaluations[voids] == {"p": 0.0, "bound": 3}
     # then the p=1 probe and the bisection, which ends inside [0, analytic]
-    assert res.evaluations[voids + 1][0] == 1.0
-    assert all(0 < p < 1 for p, _ in res.evaluations[voids + 2:])
+    assert res.evaluations[voids + 1]["p"] == 1.0
+    assert all(0 < e["p"] < 1 for e in res.evaluations[voids + 2:])
     assert len(res.evaluations) > voids + 2
     assert 0.0 <= res.simulated_threshold <= res.analytic_threshold
 
