@@ -1,6 +1,9 @@
 """Simulated randomized measurements: sampling, estimators, detection."""
 
+import json
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,23 @@ def test_sampling_loop_allocates_nothing(monkeypatch, d, path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n + 32 * 1024
+
+
+def test_seeded_streams_match_stored_values():
+    # tests/data/make_streams.py regenerates the file; a run that fails here
+    # changed a seeded stream, which CHANGES.md must then list
+    data = Path(__file__).with_name("data")
+    stored = json.loads((data / "streams.json").read_text())
+    fresh = runpy.run_path(str(data / "make_streams.py"))["streams"]()
+    assert fresh.keys() == stored.keys() - {"numpy"}
+    for key, values in fresh.items():
+        if key == "samples":
+            assert [(s["path"], s["d"], s["n"]) for s in values] == [
+                (s["path"], s["d"], s["n"]) for s in stored[key]]
+            values = [s["head"] + [s["sum"], s["sum_sq"]] for s in values]
+            stored[key] = [s["head"] + [s["sum"], s["sum_sq"]] for s in stored[key]]
+        for got, want in zip(values, stored[key]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=key)
 
 
 # --- estimator contract ---------------------------------------------------
