@@ -11,13 +11,15 @@ X is computed by two matrix products, ``X = M_a R(rho) M_b^T``, where the
 realigned matrix ``R(rho)[(i i'), (j j')] = rho[(i j), (i' j')]`` has shape
 (d_a^2, d_b^2) and the row k of the basis matrix ``M_d`` is the flattened
 transpose of the basis element g_k (cached per local dimension). The
-data is built once per ``DensityMatrix`` and kept on it, read-only.
+data is built once per ``DensityMatrix`` and kept on it, read-only; the build
+checks Parseval's ``||X||_F^2 = tr(rho^2)``, and each spectrum waits for its
+first read, so the sampler, which reads only su, runs no SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +37,7 @@ __all__ = [
 
 @dataclass
 class CorrelationData:
-    """Correlation matrix of one state plus the derived spectra.
+    """Correlation matrix of one state plus its spectra, kept from their first read.
 
     Attributes
     ----------
@@ -61,9 +63,22 @@ class CorrelationData:
     su: np.ndarray
     vector_a: np.ndarray
     vector_b: np.ndarray
-    epsilon: np.ndarray
-    xi: np.ndarray
-    cross: np.ndarray
+
+    epsilon = property(lambda self: self._su_cross[0])
+    cross = property(lambda self: self._su_cross[1])
+    xi = cached_property(
+        lambda self: _read_only(np.linalg.svd(self.full, compute_uv=False)))
+
+    @cached_property
+    def _su_cross(self):  # one SVD for su and the covariance cross block
+        return _read_only(np.linalg.svd(np.array(
+            [self.su, self.su - self.vector_a[:, None] * self.vector_b]),
+            compute_uv=False))
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +96,8 @@ def correlation_data(rho):
     ------
     NumericalConsistencyError
         If any coefficient has an imaginary part above 1e-9 (Hermitian
-        states in Hermitian bases give real coefficients exactly).
+        states in Hermitian bases give real coefficients exactly), or if
+        ``||X||_F^2`` misses ``tr(rho^2)`` by more than 1e-9.
     """
     rho = as_density(rho)
     if rho._corr is None:
@@ -100,24 +116,16 @@ def _build_correlation_data(rho):
             f"correlation coefficients have imaginary parts up to {imag_max:.3e}; "
             "the input matrix is not consistently Hermitian")
     full = np.ascontiguousarray(full_c.real)
-    su = full[1:, 1:]
-    vector_a = full[1:, 0] * np.sqrt(db)
-    vector_b = full[0, 1:] * np.sqrt(da)
-    su_cross = np.linalg.svd(  # one SVD for su and the covariance cross block
-        np.array([su, su - vector_a[:, None] * vector_b]), compute_uv=False)
-    xi = np.linalg.svd(full, compute_uv=False)
-    pur = _purity(rho.matrix)
-    if abs(float((xi ** 2).sum()) - pur) > DERIVED_TOL:
+    norm_sq, pur = float(np.vdot(full, full)), _purity(rho.matrix)
+    if abs(norm_sq - pur) > DERIVED_TOL:  # Parseval: the sum of xi^2, no SVD
         raise NumericalConsistencyError(
-            f"operator Schmidt values square-sum to {np.sum(xi ** 2):.12f} "
+            f"correlation matrix has squared norm {norm_sq:.12f} "
             f"but tr(rho^2) = {pur:.12f}")
-    for arr in (full, su, vector_a, vector_b, su_cross, xi):
-        arr.setflags(write=False)
+    full.setflags(write=False)
     return CorrelationData(
-        dim_a=da, dim_b=db, full=full, su=su,
-        vector_a=vector_a, vector_b=vector_b,
-        epsilon=su_cross[0], xi=xi, cross=su_cross[1],
-    )
+        dim_a=da, dim_b=db, full=full, su=full[1:, 1:],
+        vector_a=_read_only(full[1:, 0] * np.sqrt(db)),
+        vector_b=_read_only(full[0, 1:] * np.sqrt(da)))
 
 
 def as_correlation_data(obj):

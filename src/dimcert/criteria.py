@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_int, _check_real
 from .correlations import as_correlation_data, correlation_data
 from .states import (
     STRUCT_TOL,
@@ -95,9 +95,9 @@ class SchmidtCertificate:
         if self.criterion_id not in CRITERION_IDS:
             raise InvalidInputError(
                 f"unknown criterion_id {self.criterion_id!r}")
-        if self.certified_lower_bound < 1:
-            raise InvalidInputError("certified_lower_bound must be >= 1")
-        if self.certified_lower_bound > 1 and not self.margin > 0:
+        bound = _check_int(self.certified_lower_bound, "certified_lower_bound")
+        margin = _check_real(self.margin, "margin")
+        if bound > 1 and not margin > 0:
             raise InvalidInputError(
                 "a bound above 1 requires a strictly positive margin")
 

@@ -21,10 +21,12 @@ Averages of x^2 and x^4, rescaled by the path constants, estimate
 owning an SFC64 generator seeded by SeedSequence([seed, namespace,
 block]), so results are bit-identical for any worker count and block
 order. A block's power-of-two chunks draw from its generator in turn into
-views of one 4.53 MiB scratch buffer that each sampling thread keeps:
-4096, 2048 and 1024 draws at d = 3, 5, 7 (Haar), whole blocks up to d = 7
-(Bloch). The environment variable DIMCERT_THREADS sets the number of
-sampling threads (default 1); it changes speed only, never results.
+views of a scratch buffer that each sampling thread keeps, sized to what a
+chunk's views take and grown on demand (2.3-2.7 MiB on the Haar path at
+d = 3, 5, 7). Chunk sizes are part of the seeded stream: 4096, 2048 and 1024
+draws at d = 3, 5, 7 (Haar), whole blocks up to d = 7 (Bloch). The
+environment variable DIMCERT_THREADS sets the number of sampling threads
+(default 1); it changes speed only, never results.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .states import (_haar_unitaries, as_density, as_rng, extended_basis,
 
 BLOCK = 4096
 MIN_SAMPLES = 100
-# float64 items (4.53 MiB) of the scratch buffer a thread keeps once it has sampled
-_SCRATCH_FLOATS = 145 * BLOCK
+# float64 items per chunk that fix the chunk sizes, and so every seeded stream
+_CHUNK_FLOATS = 145 * BLOCK
 _SCRATCH = threading.local()
 
 _SAMPLING = "randomized moment estimation"
@@ -171,8 +173,8 @@ def _local_vectors(d, m_eigs, z, work=None):
     for A = U M U^dag = sum_{j<k} c_j u_j u_j^dag + m_last I, c_j = m_j -
     m_last, so |a|^2 = tr M^2 = d. Row a of A right of its diagonal gives
     the symmetric and antisymmetric components sqrt(2) Re and -sqrt(2) Im;
-    the diagonal meets the diagonal generators. Temporaries and vectors are
-    views of ``work`` (or fresh); complex c_j spare numpy a cast buffer.
+    the diagonal meets the diagonal generators. Vectors, then per-row temporaries,
+    are views of ``work`` (or fresh); complex c_j spare numpy a cast buffer.
     """
     n, m = d * d - 1, z.shape[-1]
     work = np.empty(8 * z.size) if work is None else work  # enough either way
@@ -185,46 +187,52 @@ def _local_vectors(d, m_eigs, z, work=None):
         return z
     k, half = len(z), d * (d - 1) // 2
     vecs, diag = np.split(work[:2 * (n + d) * m].reshape(n + d, 2, m), [n])
-    cu, prod, row = np.split(work[2 * (n + d) * m:].view(complex)[
-        :2 * (2 * k + 1) * d * m].reshape(2 * k + 1, d, 2, m), [k, 2 * k])
-    # row a of cu * z is sum_j c_j conj(u_j[a]) u_j = conj(A[a, :])
-    np.multiply(np.conjugate(z, out=cu),
-                (m_eigs[:k] - m_eigs[-1] + 0j)[:, None, None, None], out=cu)
+    cu, row, prod = np.split(work[2 * (n + d) * m:].view(complex)[
+        :2 * (k + 2 * d) * m].reshape(k + 2 * d, 2, m), [k, k + d])
+    coef = m_eigs[:k] - m_eigs[-1] + 0j
     for a in range(d):
+        # sum_j cu[j] u_j[b] = conj(A[a, b]), b >= a, for cu[j] = c_j conj(u_j[a]),
+        # one contiguous run per call: numpy buffers short broadcasts
         for j in range(k):
+            np.multiply(np.conjugate(z[j, a], out=cu[j]), coef[j], out=cu[j])
             for b in range(a, d):
-                np.multiply(cu[j, a], z[j, b], out=prod[j, b])
-        r = prod[:, a:].sum(axis=0, out=row[0, a:])
+                np.multiply(cu[j], z[j, b], out=(prod if j else row)[b])
+            if j:
+                row[a:] += prod[a:]
         lo = a * (2 * d - a - 1) // 2
         hi = lo + d - 1 - a
-        diag[a] = r[0].real
-        np.multiply(r[1:].real, math.sqrt(2), out=vecs[lo:hi])
-        np.multiply(r[1:].imag, math.sqrt(2), out=vecs[half + lo:half + hi])
+        diag[a] = row[a].real
+        np.multiply(row[a + 1:].real, math.sqrt(2), out=vecs[lo:hi])
+        np.multiply(row[a + 1:].imag, math.sqrt(2), out=vecs[half + lo:half + hi])
     gens = np.diagonal(extended_basis(d)[2 * half + 1:], axis1=1, axis2=2)
     np.dot(gens.real, diag.reshape(d, -1), out=vecs[2 * half:].reshape(d - 1, -1))
     return vecs
 
 
 def _sample_x(rho, n_tot, seed, m_eigs, namespace):
-    d = rho.dim_a
+    d, n, k = rho.dim_a, rho.dim_a ** 2 - 1, (rho.dim_a + 1) // 2
     x_su = correlation_data(rho).su
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
-    # float64 scratch items per draw that the views of a chunk take
-    per_draw = 3 * d * d - 2 if m_eigs is None else 8 * d * d + 12 * d - 2
-    chunk = min(BLOCK, 2 ** int(math.log2(_SCRATCH_FLOATS / per_draw)))
+    per_draw = 3 * n + 1 if m_eigs is None else 8 * d * d + 12 * d - 2
+    chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_FLOATS / per_draw)))
+    # float64 items of a chunk's views: the draw, then the vectors with temporaries
+    need = chunk * (3 * n + 1 if m_eigs is None else max(
+        8 * k * (d + 2), 4 * k * d + 2 * n + 10 * d + 4 * k))
     x = np.empty(n_tot)
 
     def run_block(block):
-        if not hasattr(_SCRATCH, "buf"):
-            _SCRATCH.buf = np.empty(_SCRATCH_FLOATS)
+        if len(getattr(_SCRATCH, "buf", ())) < need:
+            _SCRATCH.buf = np.empty(need)
         buf, rng = _SCRATCH.buf, _block_rng(seed, namespace, block)
         out = x[block * BLOCK:(block + 1) * BLOCK]
         for lo in range(0, len(out), chunk):
             z = _normals(d, m_eigs, min(chunk, len(out) - lo), rng, buf)
-            a, b = _local_vectors(d, m_eigs, z, buf[z.nbytes // 8:]).swapaxes(0, 1)
-            # the product sits at the back; einsum multiplies and sums unbuffered
-            xb = np.matmul(x_su, b, out=buf[len(buf) - a.size:].reshape(a.shape))
-            np.einsum("gm,gm->m", a, xb, out=out[lo:lo + chunk])
+            vecs = _local_vectors(d, m_eigs, z, buf[z.nbytes // 8:])
+            a, b = vecs.swapaxes(0, 1)
+            # X_su b goes over the spent Haar draws, or after z, the Bloch vectors
+            xb = buf[z.nbytes // 8 if vecs is z else 0:][:a.size].reshape(a.shape)
+            np.einsum("gm,gm->m", a, np.matmul(x_su, b, out=xb),
+                      out=out[lo:lo + chunk])  # multiplies and sums unbuffered
 
     workers = min(_resolve_workers(), n_blocks)
     if workers == 1:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -476,8 +477,12 @@ def read_state_json(path):
 
     The format is ``{"dim_a": int, "dim_b": int, "re": [[...]], "im": [[...]]}``.
     Validation reports the first violated property (shape, finite entries,
-    hermiticity, trace, positivity, in that order).
+    hermiticity, trace, positivity, in that order). ``path`` is a str or
+    an ``os.PathLike``; an integer is not taken as a file descriptor.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(
+            f"a state file path must be a str or os.PathLike, got {path!r:.60}")
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)

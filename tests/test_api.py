@@ -74,6 +74,8 @@ REAL_ENTRY_POINTS = {
         dimcert.max_entangled(3), 1000, k_sigma=v, seed=1),
     "MomentPair.s2": lambda v: MomentPair(v, 1.0),
     "MomentPair.s4": lambda v: MomentPair(1.0, v),
+    "SchmidtCertificate.margin": lambda v: dimcert.SchmidtCertificate(
+        "ccnr", 2, v),
 }
 NOT_REAL = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
             "huge-int": 10 ** 400}
@@ -82,6 +84,8 @@ NOT_REAL = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
 # integer below its range
 INT_ENTRY_POINTS = {
     "region_scatter.seed": (lambda v: dimcert.region_scatter(3, 1, v), -1),
+    "SchmidtCertificate.bound": (
+        lambda v: dimcert.SchmidtCertificate("ccnr", v, 1.0), 0),
 }
 NOT_INT = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
            "float": 1.5}
@@ -148,6 +152,15 @@ ARRAY_CASES = [
 def test_non_numeric_arrays_rejected(call, bad):
     with pytest.raises(InvalidInputError, match="numeric array"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [0, 3, ["x"], None],
+                         ids=["fd-0", "fd-3", "list", "none"])
+def test_state_file_path_must_be_a_path(bad):
+    # open() would take an integer as a file descriptor: 0 reads the
+    # caller's stdin as a state file, then closes it
+    with pytest.raises(InvalidInputError, match="str or os.PathLike"):
+        dimcert.read_state_json(bad)
 
 
 @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)

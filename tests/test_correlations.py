@@ -7,9 +7,9 @@ from dimcert import correlations
 from dimcert.correlations import correlation_data, trace_norm
 from dimcert.criteria import (
     compare_all, sn_ccnr, sn_covariance, sn_trace_norm, sn_two_norm)
-from dimcert.errors import InvalidInputError
+from dimcert.errors import InvalidInputError, NumericalConsistencyError
 from dimcert.moments import exact_moments
-from dimcert.randsim import predicted_variance
+from dimcert.randsim import detect_with_confidence, predicted_variance
 from dimcert.states import (
     DensityMatrix,
     PureState,
@@ -172,6 +172,47 @@ def test_stacked_spectra_match_separate_svds():
         cross = c.su - np.outer(c.vector_a, c.vector_b)
         assert np.array_equal(c.epsilon, np.linalg.svd(c.su, compute_uv=False))
         assert np.array_equal(c.cross, np.linalg.svd(cross, compute_uv=False))
+
+
+def _counted_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_sampling_runs_no_svd(monkeypatch):
+    # the sampler reads only su; the spectra wait for their first reader
+    calls = _counted_svd(monkeypatch)
+    detect_with_confidence(isotropic(5, 0.3), 2000, 3, 1)
+    assert calls == []
+
+
+def test_spectra_computed_once_on_first_read(monkeypatch):
+    calls = _counted_svd(monkeypatch)
+    c = correlation_data(random_mixed(3, 4, 5, seed=8))
+    assert calls == []
+    for name, shape in (("epsilon", (2, 8, 15)), ("cross", (2, 8, 15)),
+                        ("xi", (9, 16))):
+        assert not getattr(c, name).flags.writeable
+        assert calls[-1] == shape
+    assert calls == [(2, 8, 15), (9, 16)]  # epsilon and cross share one SVD
+    c.epsilon, c.cross, c.xi
+    assert len(calls) == 2
+
+
+def test_build_checks_parseval_identity(monkeypatch):
+    # a basis that is not orthonormal breaks ||X||_F^2 = tr(rho^2) at build,
+    # before any spectrum is read
+    scaled = correlations._basis_matrix(3) * 1.01
+    monkeypatch.setattr(correlations, "_basis_matrix", lambda d: scaled)
+    with pytest.raises(NumericalConsistencyError, match="tr\\(rho\\^2\\)"):
+        correlation_data(random_mixed(3, 3, 2, seed=4))
 
 
 def test_singular_values_sorted_descending():

@@ -93,14 +93,17 @@ def test_ccnr_fixtures():
         assert sn_ccnr(max_entangled(d).to_density()).certified_lower_bound == d
 
 
+def _diagonal_corr(xi):
+    """Two-qubit correlation data whose full matrix is diag(xi), so its
+    operator Schmidt values are xi; no state need have them."""
+    full = np.diag(xi)
+    return CorrelationData(dim_a=2, dim_b=2, full=full, su=full[1:, 1:],
+                           vector_a=np.zeros(3), vector_b=np.zeros(3))
+
+
 def test_ccnr_boundary_rounding_is_conservative():
     # a sum within 1e-9 above an integer must not certify the next bound
-    xi = np.array([1.0, 0.5, 0.5 + 5e-10, 0.0])
-    corr = CorrelationData(
-        dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
-        vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
-        xi=xi, cross=np.zeros(3))
-    cert = sn_ccnr(corr)
+    cert = sn_ccnr(_diagonal_corr([1.0, 0.5, 0.5 + 5e-10, 0.0]))
     assert cert.certified_lower_bound == 2
     assert [row["violated"] for row in cert.details["per_r"]] == [True, False]
 
@@ -108,11 +111,7 @@ def test_ccnr_boundary_rounding_is_conservative():
 def test_violated_last_row_voids_the_certificate():
     # no state has operator Schmidt values summing above min(d_a, d_b), nor
     # S2 beyond the last endpoint (d + 1)^2, so those points are void
-    xi = np.array([2.5, 0.5, 0.0, 0.0])
-    corr = CorrelationData(
-        dim_a=2, dim_b=2, full=np.zeros((4, 4)), su=np.zeros((3, 3)),
-        vector_a=np.zeros(3), vector_b=np.zeros(3), epsilon=np.zeros(3),
-        xi=xi, cross=np.zeros(3))
+    corr = _diagonal_corr([2.5, 0.5, 0.0, 0.0])
     for cert in (sn_ccnr(corr), classify_point(17.0, 100.0, 3),
                  classify_point(17.0, 100.0, 3, std_s2=0.1, std_s4=0.1,
                                 k_sigma=2.0)):

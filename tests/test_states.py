@@ -263,6 +263,7 @@ def test_state_json_round_trip(tmp_path):
     back = read_state_json(str(path))
     assert (back.dim_a, back.dim_b) == (4, 4)
     assert np.allclose(back.matrix, rho.matrix, atol=1e-15)
+    assert np.array_equal(read_state_json(path).matrix, back.matrix)  # PathLike
 
 
 def test_state_json_missing_key(tmp_path):
