@@ -64,8 +64,8 @@ class CorrelationData:
     vector_a: np.ndarray
     vector_b: np.ndarray
 
-    epsilon = property(lambda self: self._su_cross[0])
-    cross = property(lambda self: self._su_cross[1])
+    epsilon = cached_property(lambda self: self._su_cross[0])
+    cross = cached_property(lambda self: self._su_cross[1])
     xi = cached_property(
         lambda self: _read_only(np.linalg.svd(self.full, compute_uv=False)))
 
