@@ -90,7 +90,7 @@ def _basis_matrix(d):
 
 
 def correlation_data(rho):
-    """The full correlation matrix and its singular spectra, built once per state.
+    """The correlation data of a state, built once; each spectrum on its first read.
 
     Raises
     ------
@@ -115,13 +115,12 @@ def _build_correlation_data(rho):
         raise NumericalConsistencyError(
             f"correlation coefficients have imaginary parts up to {imag_max:.3e}; "
             "the input matrix is not consistently Hermitian")
-    full = np.ascontiguousarray(full_c.real)
+    full = _read_only(np.ascontiguousarray(full_c.real))
     norm_sq, pur = float(np.vdot(full, full)), _purity(rho.matrix)
     if abs(norm_sq - pur) > DERIVED_TOL:  # Parseval: the sum of xi^2, no SVD
         raise NumericalConsistencyError(
             f"correlation matrix has squared norm {norm_sq:.12f} "
             f"but tr(rho^2) = {pur:.12f}")
-    full.setflags(write=False)
     return CorrelationData(
         dim_a=da, dim_b=db, full=full, su=full[1:, 1:],
         vector_a=_read_only(full[1:, 0] * np.sqrt(db)),

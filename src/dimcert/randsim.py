@@ -22,7 +22,7 @@ owning an SFC64 generator seeded by SeedSequence([seed, namespace,
 block]), so results are bit-identical for any worker count and block
 order. A block's power-of-two chunks draw from its generator in turn into
 views of a scratch buffer that each sampling thread keeps, sized to what a
-chunk's views take and grown on demand (2.3-2.7 MiB on the Haar path at
+chunk's views take and grown on demand (2.3-2.6 MiB on the Haar path at
 d = 3, 5, 7). Chunk sizes are part of the seeded stream: 4096, 2048 and 1024
 draws at d = 3, 5, 7 (Haar), whole blocks up to d = 7 (Bloch). The
 environment variable DIMCERT_THREADS sets the number of sampling threads
@@ -187,16 +187,16 @@ def _local_vectors(d, m_eigs, z, work=None):
         return z
     k, half = len(z), d * (d - 1) // 2
     vecs, diag = np.split(work[:2 * (n + d) * m].reshape(n + d, 2, m), [n])
-    cu, row, prod = np.split(work[2 * (n + d) * m:].view(complex)[
-        :2 * (k + 2 * d) * m].reshape(k + 2 * d, 2, m), [k, k + d])
+    (cu,), row, prod = np.split(work[2 * (n + d) * m:].view(complex)[
+        :2 * (2 * d + 1) * m].reshape(2 * d + 1, 2, m), [1, d + 1])
     coef = m_eigs[:k] - m_eigs[-1] + 0j
     for a in range(d):
-        # sum_j cu[j] u_j[b] = conj(A[a, b]), b >= a, for cu[j] = c_j conj(u_j[a]),
+        # sum_j cu_j u_j[b] = conj(A[a, b]), b >= a, for cu_j = c_j conj(u_j[a]),
         # one contiguous run per call: numpy buffers short broadcasts
         for j in range(k):
-            np.multiply(np.conjugate(z[j, a], out=cu[j]), coef[j], out=cu[j])
+            np.multiply(np.conjugate(z[j, a], out=cu), coef[j], out=cu)
             for b in range(a, d):
-                np.multiply(cu[j], z[j, b], out=(prod if j else row)[b])
+                np.multiply(cu, z[j, b], out=(prod if j else row)[b])
             if j:
                 row[a:] += prod[a:]
         lo = a * (2 * d - a - 1) // 2
@@ -215,9 +215,9 @@ def _sample_x(rho, n_tot, seed, m_eigs, namespace):
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
     per_draw = 3 * n + 1 if m_eigs is None else 8 * d * d + 12 * d - 2
     chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_FLOATS / per_draw)))
-    # float64 items of a chunk's views: the draw, then the vectors with temporaries
-    need = chunk * (3 * n + 1 if m_eigs is None else max(
-        8 * k * (d + 2), 4 * k * d + 2 * n + 10 * d + 4 * k))
+    # float64 items of a chunk's views; the Haar draw's temporaries, 8k(d + 2), outgrow
+    # the draw, vectors and row temporaries that follow it, 4kd + 2n + 10d + 4
+    need = chunk * (3 * n + 1 if m_eigs is None else 8 * k * (d + 2))
     x = np.empty(n_tot)
 
     def run_block(block):

@@ -220,7 +220,8 @@ def test_haar_local_vectors_are_isotropic(d):
 
 # --- the sampling engine ---------------------------------------------------
 
-# draws per chunk of the 4.53 MiB scratch buffer at d = 3, 5, 7
+# draws per chunk at d = 3, 5, 7, fixed by randsim._CHUNK_FLOATS; chunk sizes
+# are part of every seeded stream
 _CHUNKS = {"haar": {3: 4096, 5: 2048, 7: 1024}, "bloch": {3: 4096, 5: 4096, 7: 4096}}
 
 
@@ -323,21 +324,29 @@ def test_sampling_loop_allocates_nothing(monkeypatch, d, path):
     assert peak < 8 * n + 32 * 1024
 
 
+def _stream_rows(data):
+    """(label, values) per stored stream: each sample case's leading samples
+    with their sum and sum of squares, then the real and imaginary parts of
+    each stored array."""
+    rows = [(f"{s['path']} d={s['d']} n={s['n']}",
+             s["head"] + [s["sum"], s["sum_sq"]]) for s in data["samples"]]
+    return rows + [(f"{key} {part}", values)
+                   for key, parts in data.items() if key not in ("samples", "numpy")
+                   for part, values in zip(("re", "im"), parts)]
+
+
 def test_seeded_streams_match_stored_values():
     # tests/data/make_streams.py regenerates the file; a run that fails here
     # changed a seeded stream, which CHANGES.md must then list
     data = Path(__file__).with_name("data")
     stored = json.loads((data / "streams.json").read_text())
     fresh = runpy.run_path(str(data / "make_streams.py"))["streams"]()
-    assert fresh.keys() == stored.keys() - {"numpy"}
-    for key, values in fresh.items():
-        if key == "samples":
-            assert [(s["path"], s["d"], s["n"]) for s in values] == [
-                (s["path"], s["d"], s["n"]) for s in stored[key]]
-            values = [s["head"] + [s["sum"], s["sum_sq"]] for s in values]
-            stored[key] = [s["head"] + [s["sum"], s["sum_sq"]] for s in stored[key]]
-        for got, want in zip(values, stored[key]):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=key)
+    got, want = _stream_rows(fresh), _stream_rows(stored)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    numpy = f"stored with numpy {stored['numpy']}, run with {np.__version__}"
+    for (label, values), (_, ref) in zip(got, want):
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0,
+                                   err_msg=f"{label} ({numpy})")
 
 
 # --- estimator contract ---------------------------------------------------
