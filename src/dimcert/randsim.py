@@ -215,8 +215,8 @@ def _sample_x(rho, n_tot, seed, m_eigs, namespace):
     n_blocks = (n_tot + BLOCK - 1) // BLOCK
     per_draw = 3 * n + 1 if m_eigs is None else 8 * d * d + 12 * d - 2
     chunk = min(BLOCK, 2 ** int(math.log2(_CHUNK_FLOATS / per_draw)))
-    # float64 items of a chunk's views; the Haar draw's temporaries, 8k(d + 2), outgrow
-    # the draw, vectors and row temporaries that follow it, 4kd + 2n + 10d + 4
+    # per_draw fixes the chunk, and so the stream; a chunk's views take need floats,
+    # the Haar draw's temporaries outgrowing the vectors that follow (4kd+2n+10d+4)
     need = chunk * (3 * n + 1 if m_eigs is None else 8 * k * (d + 2))
     x = np.empty(n_tot)
 
