@@ -44,6 +44,11 @@ def streams():
         "haar_unitary_3_seed_0": _complex(haar_unitary(3, 0)),
         "random_pure_4x4_seed_1_rank_2": _complex(
             random_pure(4, 4, 1, schmidt_rank=2).amplitudes),
+        "random_pure_3x5_seed_1_rank_2": _complex(
+            random_pure(3, 5, 1, schmidt_rank=2).amplitudes),
+        "random_pure_4x4_seed_1": _complex(random_pure(4, 4, 1).amplitudes),
+        "random_mixed_3x3_rank_4_seed_1": _complex(
+            random_mixed(3, 3, 4, 1).matrix),
     }
 
 

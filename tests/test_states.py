@@ -228,6 +228,22 @@ def test_random_pure_schmidt_rank_control(rank):
     assert np.sum(lam > 1e-12) == rank
 
 
+@pytest.mark.parametrize("da,db,rank", [
+    (da, db, rank) for da, db in ((2, 3), (3, 5), (4, 2))
+    for rank in range(1, min(da, db) + 1)])
+def test_random_pure_schmidt_rank_with_unequal_dimensions(da, db, rank):
+    # unequal sides draw their unitaries one after the other, not stacked
+    psi = random_pure(da, db, seed=7, schmidt_rank=rank)
+    assert psi.amplitudes.shape == (da * db,)
+    assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
+    assert np.sum(lam > 1e-12) == rank
+    again = random_pure(da, db, seed=7, schmidt_rank=rank)
+    assert np.array_equal(again.amplitudes, psi.amplitudes)
+    other = random_pure(da, db, seed=8, schmidt_rank=rank)
+    assert not np.allclose(other.amplitudes, psi.amplitudes)
+
+
 def test_random_pure_deterministic():
     p1 = random_pure(3, 3, seed=4)
     p2 = random_pure(3, 3, seed=4)
