@@ -10,7 +10,6 @@ outer envelope of the physical region.
 import numpy as np
 
 from dimcert import (
-    boundary_curve,
     endpoint,
     lower_boundary,
     outer_boundary_d3,
@@ -32,15 +31,14 @@ for r in range(1, d + 1):
           f"two-norm line {two_norm_line(d, r):.6f}")
 print()
 
-curves = [boundary_curve(d, r) for r in range(1, d + 1)]
 grid = np.linspace(0.0, (d + 1) / (d - 1), 11)
 
 print(" s2      f_r1     f_r2     f_r3     outer")
 for x in grid:
     cells = [f"{x:5.2f}"]
-    for r, curve in zip(range(1, d + 1), curves):
+    for r in range(1, d + 1):
         if x <= endpoint(d, r):
-            cells.append(f"{curve(x):8.5f}")
+            cells.append(f"{lower_boundary(d, r, x):8.5f}")
         else:
             cells.append("       -")
     env, label = outer_boundary_d3(float(x))

@@ -11,7 +11,7 @@ plane.
 
 Start with :func:`compare_all` for exact certificates,
 :func:`estimate_moments` / :func:`detect_with_confidence` for the
-randomized route, and :func:`boundary_curve` for the geometry behind it.
+randomized route, and :func:`lower_boundary` for the geometry behind it.
 The package namespace holds the functions, the two state containers,
 ``SchmidtCertificate`` and the exception classes; the other result types
 are importable from their modules.
@@ -44,7 +44,6 @@ from .criteria import (
 )
 from .moments import exact_moments
 from .boundary import (
-    boundary_curve,
     classify_point,
     endpoint,
     lower_boundary,
@@ -74,9 +73,9 @@ __all__ = [
     "sn_ccnr", "sn_covariance", "sn_fidelity", "sn_reduction_map",
     "sn_trace_norm", "sn_two_norm",
     "exact_moments",
-    "boundary_curve", "classify_point", "endpoint",
-    "lower_boundary", "numeric_min_oracle", "outer_boundary_d3",
-    "region_scatter", "two_norm_line",
+    "classify_point", "endpoint", "lower_boundary",
+    "numeric_min_oracle", "outer_boundary_d3", "region_scatter",
+    "two_norm_line",
     "analytic_noise_threshold", "detect_with_confidence",
     "estimate_moments", "haar_unitary", "noise_tolerance",
     "predicted_variance",

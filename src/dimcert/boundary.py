@@ -7,9 +7,10 @@ sum eps_k^2 over admissible correlation spectra. The minimiser puts the
 weight on n equal singular values plus at most one smaller one, which
 gives one quadratic piece near the origin and a family of quartic pieces
 up to the right endpoint B_r^2 with B_r = (d r - 1)/(d - 1). One scalar
-kernel returns the value of f and its closed-form slope. f is continuous
-but has a kink at every breakpoint between pieces, where the two
-one-sided slopes differ.
+kernel returns the value of f and its closed-form slope; ``lower_boundary``
+applies it to a number or to each entry of an array. f is continuous but
+has a kink at every breakpoint between pieces, where the two one-sided
+slopes differ.
 
 A measured (S2, S4) point below the curve for r, or to the right of its
 endpoint, is unreachable by Schmidt number r and certifies a lower bound
@@ -23,7 +24,6 @@ qutrit region, traced by explicit one-parameter families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,8 @@ G_CLAMP = -1e-12
 DOMAIN_SLACK = 1e-12
 
 __all__ = [
-    "BoundaryCurve",
     "endpoint",
     "lower_boundary",
-    "boundary_curve",
     "numeric_min_oracle",
     "two_norm_line",
     "classify_point",
@@ -61,15 +59,22 @@ def endpoint(d, r):
 
 
 def lower_boundary(d, r, s2):
-    """Minimum S4 compatible with Schmidt number r at the given S2.
+    """Minimum S4 compatible with Schmidt number r at each given S2.
 
+    A real ``s2`` gives a float, an array-like an ndarray of its shape.
     Defined for 0 <= s2 <= B_r^2; outside that range no such state exists
     and the call is rejected. Piece n covers [B_r^2/(n+1), B_r^2/n]; the
     innermost quadratic piece covers [0, B_r^2/(d^2-1)].
     """
     d, r = _check_dr(d, r)
     b2 = endpoint(d, r)
-    return _curve(d, b2, _check_s2(d, r, b2, s2))[0]
+    # each element passes the real-number check on its own, so bool,
+    # strings and None are rejected even inside a float list
+    arr = np.asarray(s2, dtype=object)
+    out = np.empty(arr.shape)
+    for idx, val in np.ndenumerate(arr):
+        out[idx] = _curve(d, b2, _check_s2(d, r, b2, val))[0]
+    return out if arr.shape else float(out)
 
 
 def _check_s2(d, r, b2, s2):
@@ -112,41 +117,6 @@ def _curve(d, b2, x, n=None):
     value = 2 * quart / (3 * (n + 1) ** 4) + x * x / 3
     slope = 4 * (lo * lo - lo * hi + hi * hi) / (3 * (n + 1) ** 2) + 2 * x / 3
     return value, slope
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Callable lower boundary for one (d, r), with its piece breakpoints."""
-
-    d: int
-    r: int
-    b_r: float
-    breakpoints: np.ndarray
-
-    def __call__(self, s2):
-        b2 = endpoint(self.d, self.r)
-        # each element passes the same real-number check as lower_boundary,
-        # so bool, strings and None are rejected even inside a float list
-        arr = np.asarray(s2, dtype=object)
-        out = np.empty(arr.shape)
-        for idx, val in np.ndenumerate(arr):
-            out[idx] = _curve(self.d, b2, _check_s2(self.d, self.r, b2, val))[0]
-        return out if arr.shape else float(out)
-
-    @property
-    def domain(self):
-        return (0.0, self.b_r ** 2)
-
-
-def boundary_curve(d, r):
-    """Bundle lower_boundary with the breakpoints of its pieces."""
-    d, r = _check_dr(d, r)
-    b2 = endpoint(d, r)
-    pts = [0.0, b2 / (d * d - 1)]
-    pts += [b2 / n for n in range(d * d - 2, 0, -1)]
-    bp = np.array(pts)
-    bp.flags.writeable = False
-    return BoundaryCurve(d, r, math.sqrt(b2), bp)
 
 
 def numeric_min_oracle(d, r, s2):

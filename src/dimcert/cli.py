@@ -34,8 +34,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalConsistencyError
 from . import states
 from .boundary import (
-    boundary_curve,
     endpoint,
+    lower_boundary,
     outer_boundary_d3,
     region_scatter,
 )
@@ -181,7 +181,6 @@ def cmd_boundary(args):
     grid = args.grid
     if grid < 2:
         raise InvalidInputError(f"--grid must be at least 2, got {grid}")
-    curves = [boundary_curve(d, r) for r in r_values]
     s2_max = (d + 1) / (d - 1)
     s2_grid = np.linspace(0.0, s2_max, grid)
     config = {"command": "boundary",
@@ -190,10 +189,10 @@ def cmd_boundary(args):
     if d == 3:
         header.append("outer")
     columns = [s2_grid]
-    for curve, r in zip(curves, r_values):
+    for r in r_values:
         inside = s2_grid <= endpoint(d, r)
         col = np.full(grid, np.nan)
-        col[inside] = curve(s2_grid[inside])
+        col[inside] = lower_boundary(d, r, s2_grid[inside])
         columns.append(col)
     if d == 3:
         columns.append([outer_boundary_d3(float(s2))[0] for s2 in s2_grid])

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from dimcert.boundary import (
-    boundary_curve,
     classify_point,
     endpoint,
     lower_boundary,
@@ -94,8 +93,8 @@ def test_criterion_04_oracle_agreement_and_continuity(capsys):
                 gap = abs(lower_boundary(d, r, float(s2))
                           - numeric_min_oracle(d, r, float(s2)))
                 worst_gap = max(worst_gap, gap)
-            curve = boundary_curve(d, r)
-            for bp in curve.breakpoints[1:-1]:
+            # the interior piece ends B_r^2/n, n = d^2 - 1 down to 2
+            for bp in [b2 / n for n in range(d * d - 1, 1, -1)]:
                 # one-ulp straddle lands on the two adjacent closed-form
                 # pieces with negligible slope contribution
                 jump = abs(lower_boundary(d, r, np.nextafter(bp, 0.0))

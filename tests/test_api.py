@@ -37,9 +37,8 @@ PACKAGE_NAMES = {
     "SchmidtCertificate", "compare_all", "sn_ccnr", "sn_covariance",
     "sn_fidelity", "sn_reduction_map", "sn_trace_norm", "sn_two_norm",
     "exact_moments",
-    "boundary_curve", "classify_point", "endpoint", "lower_boundary",
-    "numeric_min_oracle", "outer_boundary_d3", "region_scatter",
-    "two_norm_line",
+    "classify_point", "endpoint", "lower_boundary", "numeric_min_oracle",
+    "outer_boundary_d3", "region_scatter", "two_norm_line",
     "analytic_noise_threshold", "detect_with_confidence",
     "estimate_moments", "haar_unitary", "noise_tolerance",
     "predicted_variance",
@@ -48,7 +47,7 @@ PACKAGE_NAMES = {
 
 
 def test_package_namespace_is_pinned():
-    assert len(dimcert.__all__) == len(PACKAGE_NAMES) == 40
+    assert len(dimcert.__all__) == len(PACKAGE_NAMES) == 39
     assert set(dimcert.__all__) == PACKAGE_NAMES
 
 
@@ -65,7 +64,7 @@ REAL_ENTRY_POINTS = {
     "classify_point.s4": lambda v: dimcert.classify_point(2.0, v, 3),
     **{f"classify_point.{name}": _classify_with(name) for name in _OK},
     "lower_boundary": lambda v: dimcert.lower_boundary(3, 2, v),
-    "BoundaryCurve": lambda v: dimcert.boundary_curve(3, 2)(v),
+    "lower_boundary.in-list": lambda v: dimcert.lower_boundary(3, 2, [0.5, v]),
     "numeric_min_oracle": lambda v: dimcert.numeric_min_oracle(3, 2, v),
     "outer_boundary_d3": lambda v: dimcert.outer_boundary_d3(v),
     "isotropic": lambda v: dimcert.isotropic(3, v),

@@ -5,7 +5,6 @@ import pytest
 
 from dimcert.boundary import (
     _curve,
-    boundary_curve,
     classify_point,
     endpoint,
     lower_boundary,
@@ -17,6 +16,11 @@ from dimcert.boundary import (
 from dimcert.errors import InvalidInputError
 from dimcert.moments import exact_moments
 from dimcert.states import family_state, max_entangled, rho_w
+
+
+def _breakpoints(d, r):
+    """0, then B_r^2/n for n = d^2 - 1 down to 1: the ends of the pieces."""
+    return [0.0] + [endpoint(d, r) / n for n in range(d * d - 1, 0, -1)]
 
 
 # --- closed-form fixtures -------------------------------------------------
@@ -48,21 +52,20 @@ def test_domain_and_argument_validation():
         lower_boundary(3, 2, float("nan"))
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="finite"):
-            boundary_curve(3, 2)(np.array([0.5, bad]))
-    for bad in (['0.5'], [0.5, True]):
+            lower_boundary(3, 2, np.array([0.5, bad]))
+    for bad in (['0.5'], [0.5, True], [[0.5], [None]]):
         with pytest.raises(InvalidInputError):
-            boundary_curve(3, 2)(bad)
+            lower_boundary(3, 2, bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_piece_continuity(d):
     # evaluate immediately left and right of every breakpoint
     for r in range(1, d + 1):
-        curve = boundary_curve(d, r)
-        for bp in curve.breakpoints[1:-1]:
+        for bp in _breakpoints(d, r)[1:-1]:
             h = 1e-11 * max(1.0, bp)
             left = lower_boundary(d, r, bp - h)
-            right = lower_boundary(d, r, min(bp + h, curve.domain[1]))
+            right = lower_boundary(d, r, min(bp + h, endpoint(d, r)))
             assert abs(left - right) < 1e-9 * max(1.0, abs(left))
 
 
@@ -76,9 +79,8 @@ def _oracle_slopes(d, r, x, h):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_closed_form_slope_matches_oracle_inside_every_piece(d):
     for r in range(1, d + 1):
-        curve = boundary_curve(d, r)
         b2 = endpoint(d, r)
-        bp = curve.breakpoints
+        bp = _breakpoints(d, r)
         for lo, hi in zip(bp[:-1], bp[1:]):
             for t in (0.25, 0.5, 0.75):
                 x = lo + t * (hi - lo)
@@ -94,9 +96,8 @@ def test_slope_jumps_at_every_interior_breakpoint(d):
     # f is continuous but not C1: the right slope exceeds the left one,
     # in the closed form and in the oracle alike
     for r in range(1, d + 1):
-        curve = boundary_curve(d, r)
         b2 = endpoint(d, r)
-        for x in curve.breakpoints[1:-1]:
+        for x in _breakpoints(d, r)[1:-1]:
             h = 1e-9 * x
             left, right = _curve(d, b2, x - h)[1], _curve(d, b2, x + h)[1]
             assert right - left > 0.05 * left, (d, r, x, left, right)
@@ -104,19 +105,18 @@ def test_slope_jumps_at_every_interior_breakpoint(d):
             assert o_right - o_left > 0.05 * o_left, (d, r, x, o_left, o_right)
 
 
-def test_breakpoints_sorted_and_cover_domain():
-    curve = boundary_curve(3, 2)
-    assert curve.breakpoints[0] == 0.0
-    assert abs(curve.breakpoints[-1] - endpoint(3, 2)) < 1e-12
-    assert np.all(np.diff(curve.breakpoints) > 0)
-
-
 def test_curve_object_vectorizes():
-    curve = boundary_curve(3, 3)
     grid = np.linspace(0, 2, 7)
-    vals = curve(grid)
+    vals = lower_boundary(3, 3, grid)
     assert vals.shape == grid.shape
     assert abs(vals[-1] - 5 / 3) < 1e-12
+    assert vals.tolist() == [lower_boundary(3, 3, x) for x in grid.tolist()]
+    square = lower_boundary(3, 3, grid[:6].reshape(2, 3).tolist())
+    assert square.shape == (2, 3)
+    assert square.ravel().tolist() == vals[:6].tolist()
+    assert type(lower_boundary(3, 3, 1.0)) is float
+    assert type(lower_boundary(3, 3, np.float64(1.0))) is float
+    assert lower_boundary(3, 3, []).shape == (0,)
 
 
 # --- oracle cross-check ---------------------------------------------------
@@ -228,14 +228,13 @@ def test_classify_sigma_takes_the_larger_side_of_every_kink(d):
     # one-sided values 1e-9 x away agree with the limits to within 4e-5
     std2, std4, cov = 0.01, 0.02, 1e-4
     for r in range(1, d + 1):
-        curve = boundary_curve(d, r)
         b2 = endpoint(d, r)
-        for x in curve.breakpoints[1:-1]:
+        for x in _breakpoints(d, r)[1:-1]:
             h = 1e-9 * x
             sides = [np.sqrt(s * s * std2 * std2 + std4 * std4 - 2 * s * cov)
                      for s in (_curve(d, b2, x - h)[1],
                                _curve(d, b2, x + h)[1])]
-            row = classify_point(x, curve(x), d, std_s2=std2, std_s4=std4,
+            row = classify_point(x, lower_boundary(d, r, x), d, std_s2=std2, std_s4=std4,
                                  cov_s2s4=cov, k_sigma=3.0).details["per_r"][r - 1]
             assert row["sigma_curve"] == pytest.approx(max(sides), rel=1e-4), (
                 d, r, x, row["sigma_curve"], sides)
