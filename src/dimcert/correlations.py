@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationData:
     """Correlation matrix of one state plus its spectra, kept from their first read.
 

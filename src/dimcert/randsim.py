@@ -261,7 +261,7 @@ class EstimatorResult:
     std_s2: float
     std_s4: float
     cov_s2s4: float
-    samples: np.ndarray | None = field(default=None, repr=False)
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def estimate_moments(rho, n_tot, seed, path="haar", keep_samples=False):

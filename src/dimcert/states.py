@@ -129,7 +129,7 @@ def _cholesky_psd(mat):
         return False
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Validated bipartite density matrix on C^{d_a} (x) C^{d_b}.
 
@@ -142,7 +142,7 @@ class DensityMatrix:
     dim_a: int
     dim_b: int
     matrix: np.ndarray
-    _corr: object = field(default=None, init=False, repr=False, compare=False)
+    _corr: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
@@ -175,7 +175,7 @@ class DensityMatrix:
         return self.dim_a * self.dim_b
 
 
-@dataclass
+@dataclass(eq=False)
 class PureState:
     """Bipartite pure state vector with unit norm.
 
@@ -185,7 +185,7 @@ class PureState:
     dim_a: int
     dim_b: int
     amplitudes: np.ndarray
-    _rho: object = field(default=None, init=False, repr=False, compare=False)
+    _rho: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dim_a = _check_int(self.dim_a, "dim_a", 2)
@@ -472,6 +472,14 @@ def random_mixed(dim_a, dim_b, rank, seed):
 # state files
 # ---------------------------------------------------------------------------
 
+def _check_path(path):
+    """``path`` if it is a str or os.PathLike; open() would take an int as an fd."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(
+            f"a state file path must be a str or os.PathLike, got {path!r:.60}")
+    return path
+
+
 def read_state_json(path):
     """Load a density matrix from a JSON state file.
 
@@ -480,10 +488,7 @@ def read_state_json(path):
     hermiticity, trace, positivity, in that order). ``path`` is a str or
     an ``os.PathLike``; an integer is not taken as a file descriptor.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        raise InvalidInputError(
-            f"a state file path must be a str or os.PathLike, got {path!r:.60}")
-    with open(path, encoding="utf-8") as fh:
+    with open(_check_path(path), encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -506,7 +511,8 @@ def read_state_json(path):
 
 
 def write_state_json(rho, path):
-    """Write a DensityMatrix to the JSON state format."""
+    """Write a DensityMatrix to the JSON state format at ``path``, a str or
+    an ``os.PathLike``; an integer is not taken as a file descriptor."""
     rho = as_density(rho)
     data = {
         "dim_a": rho.dim_a,
@@ -514,6 +520,6 @@ def write_state_json(rho, path):
         "re": rho.matrix.real.tolist(),
         "im": rho.matrix.imag.tolist(),
     }
-    with open(path, "w") as fh:
+    with open(_check_path(path), "w", encoding="utf-8") as fh:
         json.dump(data, fh)
         fh.write("\n")

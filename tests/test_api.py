@@ -4,6 +4,7 @@ reject values that are not real numbers, integers or seeds, and the array
 entry points reject arrays that are not numeric."""
 
 import importlib
+import os
 import pkgutil
 
 import numpy as np
@@ -160,6 +161,45 @@ def test_state_file_path_must_be_a_path(bad):
     # caller's stdin as a state file, then closes it
     with pytest.raises(InvalidInputError, match="str or os.PathLike"):
         dimcert.read_state_json(bad)
+
+
+@pytest.mark.parametrize("bad", [None, 3.5, ["x"]], ids=["none", "float", "list"])
+def test_state_file_writer_path_must_be_a_path(bad):
+    with pytest.raises(InvalidInputError, match="str or os.PathLike"):
+        dimcert.write_state_json(dimcert.max_entangled(2), bad)
+
+
+def test_state_file_writer_leaves_an_integer_descriptor_open():
+    # open() would write the state to an integer file descriptor and then
+    # close it; the descriptor here is a duplicate of stderr
+    fd = os.dup(2)
+    try:
+        with pytest.raises(InvalidInputError, match="str or os.PathLike"):
+            dimcert.write_state_json(dimcert.max_entangled(2), fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dimcert.random_mixed(3, 3, 2, 1),
+    lambda: dimcert.random_pure(3, 3, 1),
+    lambda: dimcert.correlation_data(dimcert.random_mixed(3, 3, 2, 1)),
+], ids=["DensityMatrix", "PureState", "CorrelationData"])
+def test_array_containers_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the array fields inside a tuple and
+    # raise on the truth value of an array
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
+def test_estimator_results_compare_without_their_samples():
+    def run(seed):
+        return dimcert.estimate_moments(dimcert.max_entangled(3), 1000, seed,
+                                        keep_samples=True)
+    assert run(1) == run(1)
+    assert run(1) != run(2)
 
 
 @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)

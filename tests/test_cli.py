@@ -69,6 +69,16 @@ def test_boundary_out_file(tmp_path, capsys):
 
 # --- certify --------------------------------------------------------------
 
+@pytest.mark.parametrize("argv", [("--r", "1,x"), ("--r", "4"), ("--r", "0"),
+                                  ("--grid", "1")],
+                         ids=["r-not-int", "r-above-d", "r-zero", "grid-1"])
+def test_boundary_rejects_bad_r_list_and_grid(capsys, argv):
+    code, out, err = run(capsys, "boundary", "--d", "3", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_certify_rho_w(capsys):
     code, out, _ = run(capsys, "certify", "--state", "rho-w")
     assert code == 0
@@ -377,6 +387,20 @@ def test_linear_algebra_failure_exits_two(monkeypatch, capsys):
     code, _, err = run(capsys, "certify", "--state", "rho-w")
     assert code == 2
     assert err.strip() == "numerical failure: SVD did not converge"
+
+
+def test_numerical_consistency_failure_exits_two(monkeypatch, capsys):
+    # a basis that is not orthonormal fails the correlation build's check
+    # of ||X||_F^2 = tr(rho^2)
+    from dimcert import correlations
+
+    basis = correlations._basis_matrix
+    monkeypatch.setattr(correlations, "_basis_matrix",
+                        lambda d: basis(d) * 1.01)
+    code, out, err = run(capsys, "certify", "--state", "rho-w")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical consistency failure")
 
 
 @pytest.mark.parametrize("message, shown", [
