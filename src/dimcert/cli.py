@@ -176,6 +176,9 @@ def cmd_boundary(args):
             raise InvalidInputError(
                 f"--r must be a comma-separated list of integers, "
                 f"got {args.r_list!r}")
+        if not 1 <= r_values[0] <= r_values[-1] <= d:
+            raise InvalidInputError(
+                f"--r values must lie in [1, {d}], got {args.r_list!r}")
     else:
         r_values = list(range(1, d + 1))
     grid = args.grid

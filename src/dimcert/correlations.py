@@ -1,4 +1,4 @@
-"""Bloch correlation matrices of bipartite states and their norms.
+"""Bloch correlation matrices of bipartite states and their spectra.
 
 The full correlation matrix X collects the coefficients of a state in the
 product of local orthonormal operator bases (identity/sqrt(d) at index 0,
@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalConsistencyError, _check_array
+from .errors import NumericalConsistencyError
 from .states import DERIVED_TOL, _purity, as_density, extended_basis
 
 IMAG_TOL = 1e-9
@@ -31,7 +31,6 @@ IMAG_TOL = 1e-9
 __all__ = [
     "CorrelationData",
     "correlation_data",
-    "trace_norm",
 ]
 
 
@@ -130,12 +129,4 @@ def _build_correlation_data(rho):
 def as_correlation_data(obj):
     """A state's CorrelationData, or ``obj`` itself when it already is one."""
     return obj if isinstance(obj, CorrelationData) else correlation_data(obj)
-
-
-def trace_norm(matrix):
-    """Sum of the singular values of a finite 2-D numeric array."""
-    mat = _check_array(matrix, "trace_norm input")
-    if mat.ndim != 2 or not np.isfinite(mat).all():
-        raise InvalidInputError(f"trace_norm needs a finite 2-D array, got {matrix!r:.60}")
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 

@@ -206,10 +206,6 @@ class PureState:
         vec.setflags(write=False)
         self.amplitudes = vec
 
-    def coefficient_matrix(self):
-        """Amplitudes reshaped to (dim_a, dim_b)."""
-        return self.amplitudes.reshape(self.dim_a, self.dim_b)
-
     def to_density(self):
         """Projector |psi><psi| as a DensityMatrix, built on the first call."""
         if self._rho is None:

@@ -16,7 +16,7 @@ from dimcert.boundary import (
     numeric_min_oracle,
     outer_boundary_d3,
 )
-from dimcert.correlations import correlation_data, trace_norm
+from dimcert.correlations import correlation_data
 from dimcert.criteria import compare_all, sn_fidelity
 from dimcert.moments import MomentPair, exact_moments
 from dimcert.randsim import (
@@ -62,7 +62,7 @@ def test_criterion_02_isotropic_norm_closed_forms(capsys):
             expect_tr = (d * d - 1) * (1 - p) / d
             expect_2 = np.sqrt(d * d - 1) * (1 - p) / d
             worst = max(worst,
-                        abs(trace_norm(corr.su) - expect_tr),
+                        abs(np.linalg.norm(corr.su, "nuc") - expect_tr),
                         abs(float(np.linalg.norm(corr.su)) - expect_2))
     ok = worst < 1e-9
     _report(capsys, "criterion 02", ok,

@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 
 import dimcert
+from dimcert.boundary import numeric_min_oracle
+from dimcert.correlations import correlation_data
 from dimcert.errors import InvalidInputError
 from dimcert.moments import MomentPair
-from dimcert.states import extended_basis
+from dimcert.randsim import estimate_moments, haar_unitary
+from dimcert.states import (
+    extended_basis,
+    family_state,
+    random_mixed,
+    random_pure,
+    read_state_json,
+    write_state_json,
+)
 
 MODULES = ["dimcert"] + [
     f"dimcert.{info.name}" for info in pkgutil.iter_modules(dimcert.__path__)]
@@ -26,30 +36,41 @@ def test_all_names_resolve(name):
         getattr(mod, public)
 
 
-# the functions, the two state containers, the certificate type the
-# bench self-test plants, the exceptions and the version; the other
-# result types are importable from their modules only
+# the entry points, the named states, the functions the demos plot, the
+# two state containers, the certificate type the bench self-test plants,
+# the exceptions and the version; everything else is importable from its
+# module only
 PACKAGE_NAMES = {
     "DimcertError", "InvalidInputError", "NumericalConsistencyError",
-    "DensityMatrix", "PureState", "family_state", "isotropic",
-    "max_entangled", "partial_trace", "random_mixed", "random_pure",
-    "read_state_json", "rho_w", "write_state_json",
-    "correlation_data", "trace_norm",
-    "SchmidtCertificate", "compare_all", "sn_ccnr", "sn_covariance",
-    "sn_fidelity", "sn_reduction_map", "sn_trace_norm", "sn_two_norm",
-    "exact_moments",
-    "classify_point", "endpoint", "lower_boundary", "numeric_min_oracle",
-    "outer_boundary_d3", "region_scatter", "two_norm_line",
+    "DensityMatrix", "PureState", "isotropic", "max_entangled", "rho_w",
+    "SchmidtCertificate", "compare_all", "exact_moments",
+    "classify_point", "endpoint", "lower_boundary", "outer_boundary_d3",
+    "region_scatter", "two_norm_line",
     "analytic_noise_threshold", "detect_with_confidence",
-    "estimate_moments", "haar_unitary", "noise_tolerance",
-    "predicted_variance",
+    "noise_tolerance", "predicted_variance",
     "__version__",
 }
 
 
+# public names that live in their modules only
+MODULE_NAMES = {
+    "states": {"family_state", "partial_trace", "random_mixed", "random_pure",
+               "read_state_json", "write_state_json"},
+    "correlations": {"correlation_data"},
+    "criteria": {"sn_ccnr", "sn_covariance", "sn_fidelity",
+                 "sn_reduction_map", "sn_trace_norm", "sn_two_norm"},
+    "boundary": {"numeric_min_oracle"},
+    "randsim": {"estimate_moments", "haar_unitary"},
+}
+
+
 def test_package_namespace_is_pinned():
-    assert len(dimcert.__all__) == len(PACKAGE_NAMES) == 39
+    assert len(dimcert.__all__) == len(PACKAGE_NAMES) == 22
     assert set(dimcert.__all__) == PACKAGE_NAMES
+    for module, names in MODULE_NAMES.items():
+        mod = importlib.import_module(f"dimcert.{module}")
+        assert names <= set(mod.__all__)
+        assert not any(hasattr(dimcert, name) for name in names)
 
 
 _OK = {"std_s2": 0.01, "std_s4": 0.01, "cov_s2s4": 0.0, "k_sigma": 3.0}
@@ -66,10 +87,10 @@ REAL_ENTRY_POINTS = {
     **{f"classify_point.{name}": _classify_with(name) for name in _OK},
     "lower_boundary": lambda v: dimcert.lower_boundary(3, 2, v),
     "lower_boundary.in-list": lambda v: dimcert.lower_boundary(3, 2, [0.5, v]),
-    "numeric_min_oracle": lambda v: dimcert.numeric_min_oracle(3, 2, v),
+    "numeric_min_oracle": lambda v: numeric_min_oracle(3, 2, v),
     "outer_boundary_d3": lambda v: dimcert.outer_boundary_d3(v),
     "isotropic": lambda v: dimcert.isotropic(3, v),
-    "family_state": lambda v: dimcert.family_state("A", v),
+    "family_state": lambda v: family_state("A", v),
     "detect_with_confidence": lambda v: dimcert.detect_with_confidence(
         dimcert.max_entangled(3), 1000, k_sigma=v, seed=1),
     "MomentPair.s2": lambda v: MomentPair(v, 1.0),
@@ -92,11 +113,10 @@ NOT_INT = {"str": "x", "numeric-str": "1", "none": None, "bool": True,
 
 # each entry takes the bad value as its seed; None asks for a fresh seed
 SEED_ENTRY_POINTS = {
-    "random_pure.seed": lambda v: dimcert.random_pure(3, 3, v),
-    "random_pure.seed-rank": lambda v: dimcert.random_pure(
-        3, 3, v, schmidt_rank=2),
-    "random_mixed.seed": lambda v: dimcert.random_mixed(3, 3, 2, v),
-    "haar_unitary.seed": lambda v: dimcert.haar_unitary(3, v),
+    "random_pure.seed": lambda v: random_pure(3, 3, v),
+    "random_pure.seed-rank": lambda v: random_pure(3, 3, v, schmidt_rank=2),
+    "random_mixed.seed": lambda v: random_mixed(3, 3, 2, v),
+    "haar_unitary.seed": lambda v: haar_unitary(3, v),
 }
 NOT_SEED = {**{k: v for k, v in NOT_INT.items() if k != "none"},
             "below-range": -1, "negative-in-sequence": [1, -2]}
@@ -127,7 +147,6 @@ def test_non_numeric_scalars_rejected(call, bad):
 ARRAY_ENTRY_POINTS = {
     "DensityMatrix": (lambda v: dimcert.DensityMatrix(2, 2, v), [[0.25] * 4] * 4),
     "PureState": (lambda v: dimcert.PureState(2, 2, v), [1, 0, 0, 0]),
-    "trace_norm": (dimcert.trace_norm, [[1, 0], [0, 1]]),
 }
 
 
@@ -160,13 +179,13 @@ def test_state_file_path_must_be_a_path(bad):
     # open() would take an integer as a file descriptor: 0 reads the
     # caller's stdin as a state file, then closes it
     with pytest.raises(InvalidInputError, match="str or os.PathLike"):
-        dimcert.read_state_json(bad)
+        read_state_json(bad)
 
 
 @pytest.mark.parametrize("bad", [None, 3.5, ["x"]], ids=["none", "float", "list"])
 def test_state_file_writer_path_must_be_a_path(bad):
     with pytest.raises(InvalidInputError, match="str or os.PathLike"):
-        dimcert.write_state_json(dimcert.max_entangled(2), bad)
+        write_state_json(dimcert.max_entangled(2), bad)
 
 
 def test_state_file_writer_leaves_an_integer_descriptor_open():
@@ -175,16 +194,16 @@ def test_state_file_writer_leaves_an_integer_descriptor_open():
     fd = os.dup(2)
     try:
         with pytest.raises(InvalidInputError, match="str or os.PathLike"):
-            dimcert.write_state_json(dimcert.max_entangled(2), fd)
+            write_state_json(dimcert.max_entangled(2), fd)
         os.fstat(fd)
     finally:
         os.close(fd)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: dimcert.random_mixed(3, 3, 2, 1),
-    lambda: dimcert.random_pure(3, 3, 1),
-    lambda: dimcert.correlation_data(dimcert.random_mixed(3, 3, 2, 1)),
+    lambda: random_mixed(3, 3, 2, 1),
+    lambda: random_pure(3, 3, 1),
+    lambda: correlation_data(random_mixed(3, 3, 2, 1)),
 ], ids=["DensityMatrix", "PureState", "CorrelationData"])
 def test_array_containers_compare_and_hash_by_identity(make):
     # a generated __eq__ would compare the array fields inside a tuple and
@@ -196,8 +215,8 @@ def test_array_containers_compare_and_hash_by_identity(make):
 
 def test_estimator_results_compare_without_their_samples():
     def run(seed):
-        return dimcert.estimate_moments(dimcert.max_entangled(3), 1000, seed,
-                                        keep_samples=True)
+        return estimate_moments(dimcert.max_entangled(3), 1000, seed,
+                                keep_samples=True)
     assert run(1) == run(1)
     assert run(1) != run(2)
 

@@ -136,6 +136,17 @@ def test_oracle_rejects_out_of_range():
         numeric_min_oracle(3, 1, 1.5)
 
 
+def test_oracle_rejects_negative_s2():
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        numeric_min_oracle(3, 2, -0.1)
+
+
+def test_curve_rejects_a_piece_that_does_not_hold_x():
+    # piece 1 covers [b2/2, b2] = [8, 16]; x = 0.1 lies on the quadratic
+    with pytest.raises(InvalidInputError, match="outside piece n=1"):
+        _curve(3, 16.0, 0.1, 1)
+
+
 # --- geometry relations ---------------------------------------------------
 
 @pytest.mark.parametrize("d", [3, 4])

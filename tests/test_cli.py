@@ -76,7 +76,8 @@ def test_boundary_rejects_bad_r_list_and_grid(capsys, argv):
     code, out, err = run(capsys, "boundary", "--d", "3", *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    # each rejection names the flag it is about
+    assert err.startswith(f"error: {argv[0]} ")
 
 
 def test_certify_rho_w(capsys):

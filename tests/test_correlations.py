@@ -1,10 +1,10 @@
-"""Correlation matrices, their singular spectra, and the norm helpers."""
+"""Correlation matrices and their singular spectra."""
 
 import numpy as np
 import pytest
 
 from dimcert import correlations
-from dimcert.correlations import correlation_data, trace_norm
+from dimcert.correlations import correlation_data
 from dimcert.criteria import (
     compare_all, sn_ccnr, sn_covariance, sn_trace_norm, sn_two_norm)
 from dimcert.errors import InvalidInputError, NumericalConsistencyError
@@ -80,7 +80,7 @@ def test_trace_ordering_against_xi_sum():
 
 def test_pure_state_operator_schmidt_values_are_pair_products():
     psi = random_pure(3, 3, seed=13)
-    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
+    lam = np.linalg.svd(psi.amplitudes.reshape(3, 3), compute_uv=False) ** 2
     expect = np.sort(np.sqrt(np.outer(lam, lam)).ravel())[::-1]
     xi = correlation_data(psi.to_density()).xi
     assert np.allclose(np.sort(xi)[::-1], expect, atol=1e-9)
@@ -144,24 +144,10 @@ def test_covariance_block_on_max_entangled_equals_su_block():
     rho = max_entangled(3).to_density()
     details = sn_covariance(rho).details
     c = correlation_data(rho)
-    assert abs(details["cross_trace_norm"] - trace_norm(c.su)) < 1e-12
+    assert abs(details["cross_trace_norm"] - np.linalg.norm(c.su, "nuc")) < 1e-12
     assert abs(details["cross_trace_norm"] - 8 / 3) < 1e-9
     assert abs(details["purity_a"] - 1 / 3) < 1e-12
     assert abs(details["purity_b"] - 1 / 3) < 1e-12
-
-
-def test_norm_helpers():
-    m = np.diag([3.0, -4.0])
-    assert abs(trace_norm(m) - 7.0) < 1e-12
-
-
-@pytest.mark.parametrize("bad", [
-    np.ones(4), "not a matrix", np.array([[1.0, np.inf], [0.0, 1.0]]),
-    [[1.0, 2.0], [3.0]],
-], ids=["1-D", "string", "inf", "ragged"])
-def test_trace_norm_rejects_what_is_not_a_finite_matrix(bad):
-    with pytest.raises(InvalidInputError):
-        trace_norm(bad)
 
 
 def test_stacked_spectra_match_separate_svds():
@@ -212,6 +198,15 @@ def test_build_checks_parseval_identity(monkeypatch):
     scaled = correlations._basis_matrix(3) * 1.01
     monkeypatch.setattr(correlations, "_basis_matrix", lambda d: scaled)
     with pytest.raises(NumericalConsistencyError, match="tr\\(rho\\^2\\)"):
+        correlation_data(random_mixed(3, 3, 2, seed=4))
+
+
+def test_build_checks_imaginary_parts(monkeypatch):
+    # a basis with a global phase gives complex coefficients; the norm,
+    # and so Parseval's identity, is unchanged
+    rotated = correlations._basis_matrix(3) * np.exp(0.01j)
+    monkeypatch.setattr(correlations, "_basis_matrix", lambda d: rotated)
+    with pytest.raises(NumericalConsistencyError, match="imaginary parts"):
         correlation_data(random_mixed(3, 3, 2, seed=4))
 
 

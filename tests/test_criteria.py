@@ -318,6 +318,11 @@ def test_fidelity_dimension_mismatch():
         sn_fidelity(_max_mixed(3), max_entangled(4))
 
 
+def test_fidelity_target_must_be_a_pure_state():
+    with pytest.raises(InvalidInputError, match="PureState"):
+        sn_fidelity(_max_mixed(3), max_entangled(3).to_density())
+
+
 # --- reduction map --------------------------------------------------------
 
 def test_reduction_map_fixtures():

@@ -76,6 +76,17 @@ def test_haar_first_moment_uniform_rows():
     assert np.all(np.abs(acc - 1 / d) < 4 * se + 1e-3)
 
 
+def test_haar_unitary_column_phases_are_uniform():
+    # Haar measure is invariant under U -> U diag(e^(i phi)), so E U_ij = 0
+    # and E U_ij^2 = 0; a kernel that drew each column's leading entry real
+    # would read about 0.5 at U_00. The standard errors are about 0.009 and
+    # 0.006 over 4000 draws at d = 3, so 0.05 is at least 5 of them
+    rng = np.random.default_rng(12)
+    u = np.array([haar_unitary(3, rng) for _ in range(4000)])
+    assert np.abs(u.mean(axis=0)).max() < 0.05
+    assert np.abs((u * u).mean(axis=0)).max() < 0.05
+
+
 def test_haar_unitary_accepts_seed_or_none():
     assert np.array_equal(haar_unitary(3, 5),
                           haar_unitary(3, np.random.default_rng(5)))
@@ -326,13 +337,14 @@ def test_sampling_loop_allocates_nothing(monkeypatch, d, path):
 
 def _stream_rows(data):
     """(label, values) per stored stream: each sample case's leading samples
-    with their sum and sum of squares, then the real and imaginary parts of
-    each stored array."""
+    with their sum and sum of squares, the real and imaginary parts of each
+    stored array, then each flat list of numbers."""
     rows = [(f"{s['path']} d={s['d']} n={s['n']}",
              s["head"] + [s["sum"], s["sum_sq"]]) for s in data["samples"]]
-    return rows + [(f"{key} {part}", values)
-                   for key, parts in data.items() if key not in ("samples", "numpy")
-                   for part, values in zip(("re", "im"), parts)]
+    rows += [(f"{key} {part}", values) for key, parts in data.items()
+             if key not in ("samples", "numpy", "values")
+             for part, values in zip(("re", "im"), parts)]
+    return rows + list(data["values"].items())
 
 
 def test_seeded_streams_match_stored_values():
@@ -342,8 +354,10 @@ def test_seeded_streams_match_stored_values():
     stored = json.loads((data / "streams.json").read_text())
     fresh = runpy.run_path(str(data / "make_streams.py"))["streams"]()
     got, want = _stream_rows(fresh), _stream_rows(stored)
-    assert [label for label, _ in got] == [label for label, _ in want]
+    # numpy promises no Generator stream across versions, so every failure
+    # names the version that made the file and the one running now
     numpy = f"stored with numpy {stored['numpy']}, run with {np.__version__}"
+    assert [label for label, _ in got] == [label for label, _ in want], numpy
     for (label, values), (_, ref) in zip(got, want):
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0,
                                    err_msg=f"{label} ({numpy})")

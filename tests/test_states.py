@@ -119,8 +119,6 @@ def test_states_copy_their_input_and_are_read_only():
     assert psi.amplitudes[0] == 1
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 1
-    with pytest.raises(ValueError):
-        psi.coefficient_matrix()[0, 0] = 1
 
 
 def test_pure_state_normalization_enforced():
@@ -145,6 +143,11 @@ def test_pure_state_rejects_non_finite(bad):
         PureState(2, 2, vec)
 
 
+def test_pure_state_rejects_wrong_length():
+    with pytest.raises(InvalidInputError, match="does not match"):
+        PureState(2, 3, np.full(4, 0.5))
+
+
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -158,6 +161,11 @@ def test_partial_trace_of_product_state():
     assert np.allclose(partial_trace(rho, "b"), rb, atol=1e-12)
 
 
+def test_partial_trace_rejects_an_unknown_party():
+    with pytest.raises(InvalidInputError, match="keep must be"):
+        partial_trace(max_entangled(2), "c")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_max_entangled_marginals_maximally_mixed(d):
     rho = max_entangled(d).to_density()
@@ -167,7 +175,7 @@ def test_max_entangled_marginals_maximally_mixed(d):
 
 def test_max_entangled_embedding_and_validation():
     psi = max_entangled(2, 4)
-    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
+    lam = np.linalg.svd(psi.amplitudes.reshape(4, 4), compute_uv=False) ** 2
     assert np.allclose(lam[:2], [0.5, 0.5], atol=1e-12)
     assert np.allclose(lam[2:], 0, atol=1e-12)
     with pytest.raises(InvalidInputError):
@@ -224,7 +232,7 @@ def test_family_unknown_label():
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_random_pure_schmidt_rank_control(rank):
     psi = random_pure(3, 3, seed=11, schmidt_rank=rank)
-    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
+    lam = np.linalg.svd(psi.amplitudes.reshape(3, 3), compute_uv=False) ** 2
     assert np.sum(lam > 1e-12) == rank
 
 
@@ -236,7 +244,7 @@ def test_random_pure_schmidt_rank_with_unequal_dimensions(da, db, rank):
     psi = random_pure(da, db, seed=7, schmidt_rank=rank)
     assert psi.amplitudes.shape == (da * db,)
     assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
-    lam = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False) ** 2
+    lam = np.linalg.svd(psi.amplitudes.reshape(da, db), compute_uv=False) ** 2
     assert np.sum(lam > 1e-12) == rank
     again = random_pure(da, db, seed=7, schmidt_rank=rank)
     assert np.array_equal(again.amplitudes, psi.amplitudes)
