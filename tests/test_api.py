@@ -36,7 +36,7 @@ def test_all_names_resolve(name):
         getattr(mod, public)
 
 
-# the entry points, the named states, the functions the demos plot, the
+# the entry points, the named states, the functions the demos call, the
 # two state containers, the certificate type the bench self-test plants,
 # the exceptions and the version; everything else is importable from its
 # module only
