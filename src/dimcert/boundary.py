@@ -15,7 +15,8 @@ slopes differ.
 A measured (S2, S4) point below the curve for r, or to the right of its
 endpoint, is unreachable by Schmidt number r and certifies a lower bound
 of r + 1. ``classify_point`` applies that test either exactly or with a
-statistical back-off for noisy estimates; ``numeric_min_oracle`` is an
+statistical back-off for noisy estimates; it and the curves take S2
+down to -``DOMAIN_SLACK`` (1e-12) as 0; ``numeric_min_oracle`` is an
 independent implementation of the same minimisation used to cross-check
 the closed form; ``outer_boundary_d3`` gives the top edge of the full
 qutrit region, traced by explicit one-parameter families.
@@ -28,11 +29,10 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError, _check_int, _check_real
-from .criteria import VIOLATION_TOL, _certificate
+from .criteria import _certificate
 from .moments import exact_moments
-from .states import random_mixed, random_pure
+from .states import DERIVED_TOL, random_mixed, random_pure
 
-G_CLAMP = -1e-12
 DOMAIN_SLACK = 1e-12
 
 __all__ = [
@@ -104,7 +104,7 @@ def _curve(d, b2, x, n=None):
     g = n * (n + 1) * x - n * b2
     # at the lower edge of a piece g can dip to about -1e-12 in floating point
     if g < 0:
-        if g < G_CLAMP * max(1.0, b2):
+        if g < -DOMAIN_SLACK * max(1.0, b2):
             raise InvalidInputError(
                 f"s2={x} falls outside piece n={n} of the boundary curve")
         g = 0.0
@@ -129,10 +129,7 @@ def numeric_min_oracle(d, r, s2):
     curve without sharing any of its algebra.
     """
     d, r = _check_dr(d, r)
-    s2 = _check_real(s2, "s2")
-    if s2 < -DOMAIN_SLACK:
-        raise InvalidInputError(f"s2 must be a nonnegative number, got {s2!r}")
-    s2 = max(s2, 0.0)
+    s2 = max(_check_real(s2, "s2", -DOMAIN_SLACK), 0.0)
     a_con = r - 1 / d
     b_con = (d - 1) ** 2 * s2 / (d * d)
     if b_con > a_con * a_con * (1 + DOMAIN_SLACK) + DOMAIN_SLACK:
@@ -183,25 +180,17 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
     ``k_sigma`` must be nonnegative in either mode.
     """
     d = _check_int(d, "d", 2)
-    s2, s4 = _check_real(s2, "s2"), _check_real(s4, "s4")
-    for name, val in (("s2", s2), ("s4", s4)):
-        if val < -DOMAIN_SLACK:
-            raise InvalidInputError(
-                f"{name} must be a nonnegative number, got {val!r}")
-    std_s2, std_s4 = (v if v is None else _check_real(v, n)
+    s2 = max(_check_real(s2, "s2", -DOMAIN_SLACK), 0.0)
+    s4 = max(_check_real(s4, "s4", -DOMAIN_SLACK), 0.0)
+    std_s2, std_s4 = (v if v is None else _check_real(v, n, 0.0)
                       for n, v in (("std_s2", std_s2), ("std_s4", std_s4)))
     cov_s2s4 = _check_real(cov_s2s4, "cov_s2s4")
-    k_sigma = _check_real(k_sigma, "k_sigma")
-    s2 = max(s2, 0.0)
-    s4 = max(s4, 0.0)
+    k_sigma = _check_real(k_sigma, "k_sigma", 0.0)
     conservative = std_s2 is not None or std_s4 is not None
     if conservative and (std_s2 is None or std_s4 is None):
         raise InvalidInputError("provide both std_s2 and std_s4 or neither")
     if not conservative:
         std_s2 = std_s4 = cov_s2s4 = 0.0
-    if std_s2 < 0 or std_s4 < 0 or k_sigma < 0:
-        raise InvalidInputError(
-            "standard deviations and k_sigma must be nonnegative")
     per_r = []
     for r in range(1, d + 1):
         b = (d * r - 1) / (d - 1)
@@ -221,8 +210,8 @@ def classify_point(s2, s4, d, std_s2=None, std_s4=None, cov_s2s4=0.0,
             "r": r, "endpoint": b2, "curve_value": f_val,
             "cap_margin": cap_margin, "curve_margin": curve_margin,
             "sigma_curve": sigma_v,
-            "violated": (cap_margin > VIOLATION_TOL
-                         or curve_margin > VIOLATION_TOL),
+            "violated": (cap_margin > DERIVED_TOL
+                         or curve_margin > DERIVED_TOL),
         })
     return _certificate(
         "moments", per_r,
@@ -254,11 +243,11 @@ def outer_boundary_d3(x, family=None):
             raise InvalidInputError(
                 f"unknown family {family!r}; use one of A, B, C, D")
         lo, hi, fn = _D3_FAMILIES[family]
-        if not lo - VIOLATION_TOL <= x <= hi + VIOLATION_TOL:
+        if not lo - DERIVED_TOL <= x <= hi + DERIVED_TOL:
             raise InvalidInputError(
                 f"x={x} outside family {family} range [{lo}, {hi}]")
         return float(fn(min(max(x, lo), hi))), family
-    if not -VIOLATION_TOL <= x <= 2.0 + VIOLATION_TOL:
+    if not -DERIVED_TOL <= x <= 2.0 + DERIVED_TOL:
         raise InvalidInputError(
             f"x={x} outside [0, 2], the qutrit S2 range")
     x = min(max(x, 0.0), 2.0)

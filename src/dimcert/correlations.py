@@ -26,8 +26,6 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .states import DERIVED_TOL, _purity, as_density, extended_basis
 
-IMAG_TOL = 1e-9
-
 __all__ = [
     "CorrelationData",
     "correlation_data",
@@ -110,7 +108,7 @@ def _build_correlation_data(rho):
     full_c = (_basis_matrix(da) @ realigned.reshape(da * da, db * db)
               @ _basis_matrix(db).T)
     imag_max = float(np.abs(full_c.imag).max())
-    if imag_max > IMAG_TOL:
+    if imag_max > DERIVED_TOL:
         raise NumericalConsistencyError(
             f"correlation coefficients have imaginary parts up to {imag_max:.3e}; "
             "the input matrix is not consistently Hermitian")

@@ -8,7 +8,7 @@ test holds for all states of Schmidt number <= r, so the largest violated
 r certifies a lower bound of r + 1 on the entanglement dimensionality,
 and its row gives the margin. No state violates the last row, so a
 violated last row voids the certificate instead. A row ``lhs <= rhs`` is
-violated when lhs exceeds rhs by more than 1e-9:
+violated when lhs exceeds rhs by more than ``states.DERIVED_TOL`` (1e-9):
 
 * ``sn_trace_norm`` (state or correlations):
   tr|X_su| - (r-1) <= sqrt((1-1/d_a)(1-1/d_b))
@@ -23,8 +23,9 @@ violated when lhs exceeds rhs by more than 1e-9:
 * ``sn_covariance`` (state or correlations):
   tr|X_su - v_a v_b^T| - (r-1) <= sqrt((1 - tr rho_a^2)(1 - tr rho_b^2))
 * ``sn_reduction_map`` (state): rho_a (x) 1 - rho/r is positive
-  semidefinite, violated below -1e-10; only the rows a bisection
-  diagonalised, the deciding one among them, hold ``min_eigenvalue``
+  semidefinite, violated below -``states.STRUCT_TOL`` (-1e-10); only
+  the rows a bisection diagonalised, the deciding one among them, hold
+  ``min_eigenvalue``
 
 ``compare_all`` builds the correlation data once, runs every criterion
 applicable to the state's dimensions and reports the best certified bound.
@@ -43,14 +44,13 @@ import numpy as np
 from .errors import InvalidInputError, _check_int, _check_real
 from .correlations import as_correlation_data, correlation_data
 from .states import (
+    DERIVED_TOL,
     STRUCT_TOL,
     PureState,
     _cholesky_psd,
     as_density,
     partial_trace,
 )
-
-VIOLATION_TOL = 1e-9
 
 CRITERION_IDS = (
     "trace_norm",
@@ -63,7 +63,6 @@ CRITERION_IDS = (
 )
 
 __all__ = [
-    "VIOLATION_TOL",
     "CRITERION_IDS",
     "SchmidtCertificate",
     "CertificateReport",
@@ -142,7 +141,7 @@ def _certificate(criterion_id, per_r, margin, **details):
 def _threshold(criterion_id, pairs, **details):
     """Certificate from (lhs, rhs) per r, violated when lhs > rhs + 1e-9."""
     per_r = [{"r": r, "lhs": float(lhs), "rhs": float(rhs),
-              "violated": bool(lhs > rhs + VIOLATION_TOL)}
+              "violated": bool(lhs > rhs + DERIVED_TOL)}
              for r, (lhs, rhs) in enumerate(pairs, 1)]
     return _certificate(criterion_id, per_r,
                         lambda row: row["lhs"] - row["rhs"], **details)
@@ -223,7 +222,7 @@ def _fidelity(rho, vecs, labels, **details):
     sums = lams.cumsum(axis=1)
     # _verdict of all targets: the sums grow with r, so the violated rows are a prefix
     # and the first row not violated is top (0 also for a void target)
-    top = (fids[:, None] > sums + VIOLATION_TOL).argmin(axis=1)
+    top = (fids[:, None] > sums + DERIVED_TOL).argmin(axis=1)
     t = top.max()  # the first of the largest margins at top = t wins
     margin = (fids - sums[:, t - 1]) * (t > 0)
     margin[top < t] = -np.inf

@@ -39,23 +39,26 @@ def _check_int(value, name, lo=1, hi=None):
     raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
 
 
-def _check_real(value, name):
-    """``value`` as a float if it is a finite real number, else InvalidInputError.
+def _check_real(value, name, lo=-math.inf, hi=math.inf):
+    """``value`` as a float if it is a finite real number in [lo, hi], else InvalidInputError.
 
-    Strings, None and bool are not numbers here; an int too large for a
-    float is not finite.
+    The range is open by default. Strings, None and bool are not numbers
+    here; an int too large for a float is not finite.
     """
-    if type(value) is float and math.isfinite(value):  # the common case
-        return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    real = math.nan
+    if type(value) is float:  # the common case
+        real = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             real = float(value)
         except OverflowError:
             real = math.inf
-        if math.isfinite(real):
-            return real
+    if math.isfinite(real) and lo <= real <= hi:
+        return real
+    rule = ("" if (lo, hi) == (-math.inf, math.inf) else f" >= {lo:g}"
+            if hi == math.inf else f" in [{lo:g}, {hi:g}]")
     raise InvalidInputError(
-        f"{name} must be a finite real number, got {value!r}")
+        f"{name} must be a finite real number{rule}, got {value!r}")
 
 
 def _check_array(value, name):

@@ -43,8 +43,8 @@ from .errors import (
 from .boundary import classify_point
 from .correlations import correlation_data
 from .moments import exact_moments
-from .states import (_haar_unitaries, as_density, as_rng, extended_basis,
-                     isotropic)
+from .states import (STRUCT_TOL, _haar_unitaries, as_density, as_rng,
+                     extended_basis, isotropic)
 
 BLOCK = 4096
 MIN_SAMPLES = 100
@@ -126,7 +126,7 @@ def _observable_m(d):
     beta = -math.sqrt((d - 1) * t / (t + d))
     half = (d - 1) // 2
     eigs = np.array([alpha_p] * half + [beta] + [alpha_m] * half)
-    if abs(eigs.sum()) > 1e-10 or abs(np.sum(eigs ** 2) - d) > 1e-10:
+    if abs(eigs.sum()) > STRUCT_TOL or abs(np.sum(eigs ** 2) - d) > STRUCT_TOL:
         raise NumericalConsistencyError(
             "probing observable failed its trace normalisation checks")
     eigs.flags.writeable = False
@@ -352,10 +352,7 @@ def detect_with_confidence(rho, n_tot, k_sigma, seed, path="haar",
     d=5, k_sigma=2, n_tot=1e3 and in 37 of 1000 (3.7%) at d=7, k_sigma=3,
     n_tot=1e4, against nominal 2.28% and 0.135%.
     """
-    k_sigma = _check_real(k_sigma, "k_sigma")
-    if k_sigma < 0:
-        raise InvalidInputError(
-            f"k_sigma must be a nonnegative number, got {k_sigma!r}")
+    k_sigma = _check_real(k_sigma, "k_sigma", 0.0)
     rho = as_density(rho, equal_dims_for=_SAMPLING)
     est = estimate_moments(rho, n_tot, seed, path=path, keep_samples=keep_samples)
     cert = classify_point(

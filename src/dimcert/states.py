@@ -13,11 +13,14 @@ Conventions
 * su(d) generators are ordered symmetric, antisymmetric, diagonal, each
   block lexicographic, and normalized to ``tr(g_i g_j) = delta_ij`` (for
   d=2 they are the Pauli matrices divided by sqrt(2)).
-* Structural tolerances (hermiticity, trace, norm) are 1e-10; derived
-  quantities are compared at 1e-9. Validation rejects bad input, it never
-  projects onto the valid set. Positivity is a Cholesky factorisation of
-  ``rho + 1e-10 * identity``; only if it fails is the spectrum computed.
-  States hold read-only copies of their input arrays.
+* Tolerances: ``STRUCT_TOL`` = 1e-10 for input structure (hermiticity,
+  trace, norm) and the positivity floors; ``DERIVED_TOL`` = 1e-9 for
+  derived quantities (Parseval, imaginary parts, the moment cone, every
+  criterion row); ``boundary.DOMAIN_SLACK`` = 1e-12 for the S2 domain.
+  Validation rejects bad input, it never projects onto the valid set.
+  Positivity is a Cholesky factorisation of ``rho + 1e-10 * identity``;
+  only if it fails is the spectrum computed. States hold read-only
+  copies of their input arrays.
 """
 
 from __future__ import annotations
@@ -287,9 +290,7 @@ def isotropic(d, p):
     fraction p in [0, 1].
     """
     d = _check_int(d, "dimension", 2)
-    p = _check_real(p, "noise fraction p")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"noise fraction p must lie in [0, 1], got {p}")
+    p = _check_real(p, "noise fraction p", 0.0, 1.0)
     pure = max_entangled(d).to_density().matrix
     mat = (1 - p) * pure + p / d ** 2 * np.eye(d * d)
     return DensityMatrix(d, d, mat)
@@ -330,22 +331,21 @@ def family_state(family, param):
     """
     d = 3
     fam = str(family).upper()
-    param = _check_real(param, "family parameter")
+    name = f"family {fam} parameter"
     if fam == "A":
-        if not 0.0 <= param <= 1.0:
-            raise InvalidInputError(f"family A parameter must lie in [0, 1], got {param}")
+        param = _check_real(param, name, 0.0, 1.0)
         mat = np.zeros((9, 9), dtype=np.complex128)
         mat[0, 0] = param
         mat += (1 - param) / 9 * np.eye(9)
         return DensityMatrix(d, d, mat)
     if fam == "B":
-        if not 0.5 <= param <= 1.0:
-            raise InvalidInputError(f"family B parameter must lie in [1/2, 1], got {param}")
+        param = _check_real(param, name, 0.5, 1.0)
         vec = np.zeros(9, dtype=np.complex128)
         vec[0] = np.sqrt(param)
         vec[4] = np.sqrt(1 - param)
         return PureState(d, d, vec).to_density()
     if fam == "C":
+        param = _check_real(param, name)
         if not 1 / 3 - STRUCT_TOL <= param <= 0.5:
             raise InvalidInputError(f"family C parameter must lie in [1/3, 1/2], got {param}")
         vec = np.zeros(9, dtype=np.complex128)
@@ -354,8 +354,7 @@ def family_state(family, param):
         vec[8] = np.sqrt(max(1 - 2 * param, 0.0))
         return PureState(d, d, vec).to_density()
     if fam == "D":
-        if not 0.0 <= param <= 1.0:
-            raise InvalidInputError(f"family D parameter must lie in [0, 1], got {param}")
+        param = _check_real(param, name, 0.0, 1.0)
         pure = max_entangled(3).to_density().matrix
         mat = param * pure + (1 - param) / 9 * np.eye(9)
         return DensityMatrix(d, d, mat)

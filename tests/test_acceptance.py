@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from dimcert.boundary import (
-    classify_point,
     endpoint,
     lower_boundary,
     numeric_min_oracle,
@@ -18,7 +17,7 @@ from dimcert.boundary import (
 )
 from dimcert.correlations import correlation_data
 from dimcert.criteria import compare_all, sn_fidelity
-from dimcert.moments import MomentPair, exact_moments
+from dimcert.moments import exact_moments
 from dimcert.randsim import (
     analytic_noise_threshold,
     detect_with_confidence,

@@ -6,17 +6,19 @@ entry points reject arrays that are not numeric."""
 import importlib
 import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
 
 import dimcert
-from dimcert.boundary import numeric_min_oracle
+from dimcert.boundary import DOMAIN_SLACK, numeric_min_oracle
 from dimcert.correlations import correlation_data
 from dimcert.errors import InvalidInputError
 from dimcert.moments import MomentPair
 from dimcert.randsim import estimate_moments, haar_unitary
 from dimcert.states import (
+    DERIVED_TOL,
     extended_basis,
     family_state,
     random_mixed,
@@ -140,6 +142,54 @@ CASES = [
 def test_non_numeric_scalars_rejected(call, bad):
     with pytest.raises(InvalidInputError):
         call(bad)
+
+
+# each entry takes a value in one range-checked real argument: its closed
+# range, infinite where open, the argument's name and the range as the
+# message states it
+RANGE_CHECKS = {
+    "isotropic.p": (lambda v: dimcert.isotropic(3, v), 0.0, 1.0,
+                    "noise fraction p", "in [0, 1]"),
+    **{f"family_state.{fam}": (lambda v, fam=fam: family_state(fam, v), lo, 1.0,
+                               f"family {fam} parameter", f"in [{lo:g}, 1]")
+       for fam, lo in (("A", 0.0), ("B", 0.5), ("D", 0.0))},
+    "detect_with_confidence.k_sigma": (
+        lambda v: dimcert.detect_with_confidence(
+            dimcert.max_entangled(3), 1000, k_sigma=v, seed=1),
+        0.0, np.inf, "k_sigma", ">= 0"),
+    "classify_point.s2": (lambda v: dimcert.classify_point(v, 1.5, 3),
+                          -DOMAIN_SLACK, np.inf, "s2", ">= -1e-12"),
+    "classify_point.s4": (lambda v: dimcert.classify_point(2.0, v, 3),
+                          -DOMAIN_SLACK, np.inf, "s4", ">= -1e-12"),
+    **{f"classify_point.{name}": (_classify_with(name), 0.0, np.inf, name,
+                                  ">= 0")
+       for name in ("std_s2", "std_s4", "k_sigma")},
+    "classify_point.k_sigma-exact": (
+        lambda v: dimcert.classify_point(2.0, 1.5, 3, k_sigma=v),
+        0.0, np.inf, "k_sigma", ">= 0"),
+    "numeric_min_oracle.s2": (lambda v: numeric_min_oracle(3, 2, v),
+                              -DOMAIN_SLACK, np.inf, "s2", ">= -1e-12"),
+    "MomentPair.s2": (lambda v: MomentPair(v, 0.0), -DERIVED_TOL, np.inf,
+                      "S2", ">= -1e-09"),
+}
+
+
+@pytest.mark.parametrize("entry", RANGE_CHECKS)
+def test_range_checks_accept_their_finite_endpoints(entry):
+    call, lo, hi, _, _ = RANGE_CHECKS[entry]
+    for edge in (lo, hi):
+        if np.isfinite(edge):
+            call(edge)
+
+
+@pytest.mark.parametrize("entry", RANGE_CHECKS)
+def test_range_checks_reject_the_nearest_float_outside(entry):
+    call, lo, hi, name, rule = RANGE_CHECKS[entry]
+    message = re.escape(f"{name} must be a finite real number {rule}, got ")
+    for edge, away in ((lo, -np.inf), (hi, np.inf)):
+        if np.isfinite(edge):
+            with pytest.raises(InvalidInputError, match=message):
+                call(float(np.nextafter(edge, away)))
 
 
 # each entry takes the bad value as its array argument, next to a valid

@@ -137,7 +137,7 @@ def test_oracle_rejects_out_of_range():
 
 
 def test_oracle_rejects_negative_s2():
-    with pytest.raises(InvalidInputError, match="nonnegative"):
+    with pytest.raises(InvalidInputError, match=r"s2 must be .* >= -1e-12"):
         numeric_min_oracle(3, 2, -0.1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dimcert import correlations
+from dimcert.boundary import region_scatter
 from dimcert.correlations import correlation_data
 from dimcert.criteria import (
     compare_all, sn_ccnr, sn_covariance, sn_trace_norm, sn_two_norm)
@@ -176,6 +177,15 @@ def test_sampling_runs_no_svd(monkeypatch):
     # the sampler reads only su; the spectra wait for their first reader
     calls = _counted_svd(monkeypatch)
     detect_with_confidence(isotropic(5, 0.3), 2000, 3, 1)
+    assert calls == []
+
+
+def test_exact_moments_run_no_svd(monkeypatch):
+    # both moment sums are Frobenius norms of the su block and of its Gram
+    # matrix, so neither the exact moments nor the scatter wait on a spectrum
+    calls = _counted_svd(monkeypatch)
+    exact_moments(random_mixed(4, 4, 5, seed=3))
+    region_scatter(3, 12, 1)
     assert calls == []
 
 

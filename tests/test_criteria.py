@@ -9,7 +9,6 @@ import pytest
 from dimcert.boundary import classify_point
 from dimcert.correlations import CorrelationData, correlation_data
 from dimcert.criteria import (
-    VIOLATION_TOL,
     SchmidtCertificate,
     _fidelity,
     _fidelity_targets,
@@ -26,6 +25,7 @@ from dimcert.criteria import (
 from dimcert.errors import InvalidInputError
 from dimcert.randsim import haar_unitary
 from dimcert.states import (
+    DERIVED_TOL,
     STRUCT_TOL,
     DensityMatrix,
     PureState,
@@ -145,7 +145,7 @@ def _best_target_by_verdict(rho, vecs):
     sums = np.cumsum(lams, axis=1).tolist()
 
     def rank(i):
-        return _verdict([fids[i] > c + VIOLATION_TOL for c in sums[i]],
+        return _verdict([fids[i] > c + DERIVED_TOL for c in sums[i]],
                         lambda r: fids[i] - sums[i][r - 1])[:2]
 
     return max(range(len(vecs)), key=rank)
