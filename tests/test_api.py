@@ -1,7 +1,8 @@
 """Every public name list of the package resolves to a real attribute, the
 package namespace holds exactly the pinned names, the scalar entry points
-reject values that are not real numbers, integers or seeds, and the array
-entry points reject arrays that are not numeric."""
+reject values that are not real numbers, integers or seeds, the range-checked
+real arguments take their endpoints and reject the nearest float outside,
+and the array entry points reject arrays that are not numeric."""
 
 import importlib
 import os
